@@ -210,6 +210,7 @@ pub mod world_fixture {
     use censor::timeline::{CensorSpec, PolicyChange, PolicyTimeline};
     use encore::coordination::SchedulingStrategy;
     use encore::delivery::OriginSite;
+    use encore::inference::WindowReport;
     use encore::system::EncoreSystem;
     use encore::{FilteringDetector, GeoDb, StoredMeasurement};
     use netsim::geo::{country, CountryCode};
@@ -334,20 +335,18 @@ pub mod world_fixture {
         pub lift_day: Option<u64>,
     }
 
-    /// Run the windowed detector (1-day windows) and localise the
-    /// onset/lift transitions for `cc:domain`. Localisation goes through
+    /// Flag `cc:domain` in each window report and localise the onset and
+    /// lift transitions: the one verdict step of every timeline judge,
+    /// whichever path produced the reports. Localisation goes through
     /// [`encore::localise_transitions`] — the same rule the simcheck
     /// fuzz oracle applies to generated worlds — so the goldens and the
     /// generated scenario space can never disagree on what "onset" and
     /// "lift" mean.
-    pub fn judge_timeline(
-        records: &[StoredMeasurement],
-        geo: &GeoDb,
+    pub fn judge_reports(
+        reports: &[WindowReport],
         cc: CountryCode,
         domain: &str,
     ) -> TimelineJudgment {
-        let reports =
-            FilteringDetector::default().detect_windows(records, geo, SimDuration::from_days(1));
         let days: Vec<(u64, usize, bool)> = reports
             .iter()
             .map(|r| {
@@ -366,33 +365,32 @@ pub mod world_fixture {
         }
     }
 
+    /// Run the windowed detector (1-day windows) over a run's records and
+    /// judge `cc:domain` with [`judge_reports`].
+    pub fn judge_timeline(
+        records: &[StoredMeasurement],
+        geo: &GeoDb,
+        cc: CountryCode,
+        domain: &str,
+    ) -> TimelineJudgment {
+        let reports =
+            FilteringDetector::default().detect_windows(records, geo, SimDuration::from_days(1));
+        judge_reports(&reports, cc, domain)
+    }
+
     /// The same verdict as [`judge_timeline`], judged from merged
     /// bounded-memory streaming analytics instead of a record log —
-    /// what a `--streaming` run's windows are localised from. Both
-    /// paths share the detector and [`encore::localise_transitions`],
-    /// so "onset" and "lift" mean the same thing in either mode.
+    /// what a `--streaming` run's windows are localised from.
     pub fn judge_timeline_streamed(
         stats: &encore::streaming::StreamingStats,
         cc: CountryCode,
         domain: &str,
     ) -> TimelineJudgment {
-        let reports = FilteringDetector::default().judge_streamed(stats);
-        let days: Vec<(u64, usize, bool)> = reports
-            .iter()
-            .map(|r| {
-                let flagged = r
-                    .detections
-                    .iter()
-                    .any(|d| d.country == cc && d.domain == domain);
-                (r.window, r.measurements, flagged)
-            })
-            .collect();
-        let (onset, lift) = encore::localise_transitions(days.iter().map(|&(w, _, f)| (w, f)));
-        TimelineJudgment {
-            days,
-            onset_day: onset,
-            lift_day: lift,
-        }
+        judge_reports(
+            &FilteringDetector::default().judge_streamed(stats),
+            cc,
+            domain,
+        )
     }
 }
 
@@ -949,32 +947,24 @@ pub mod corpus_fixture {
             ("RU", rank0.as_str()),
             ("RU", rank1.as_str()),
         ];
+        let window = SimDuration::from_days(1);
+        let reports = FilteringDetector::default().detect_windows(records, geo, window);
+        let reports = &reports[..reports.partition_point(|r| r.window < days)];
         let pairs = tracked
             .iter()
             .map(|&(cc, domain)| {
-                let j = crate::world_fixture::judge_timeline(records, geo, country(cc), domain);
-                let rows: Vec<(u64, bool)> = j
-                    .days
-                    .iter()
-                    .filter(|&&(d, _, _)| d < days)
-                    .map(|&(d, _, f)| (d, f))
-                    .collect();
-                let (onset_day, lift_day) = encore::localise_transitions(rows.iter().copied());
+                let j = crate::world_fixture::judge_reports(reports, country(cc), domain);
                 PairVerdict {
                     country: cc.to_string(),
                     domain: domain.to_string(),
-                    onset_day,
-                    lift_day,
-                    flagged_days: rows.iter().filter(|&&(_, f)| f).map(|&(d, _)| d).collect(),
+                    onset_day: j.onset_day,
+                    lift_day: j.lift_day,
+                    flagged_days: j.days.iter().filter(|d| d.2).map(|d| d.0).collect(),
                 }
             })
             .collect();
-
-        let window = SimDuration::from_days(1);
-        let disrupted_detections = FilteringDetector::default()
-            .detect_windows(records, geo, window)
+        let disrupted_detections = reports
             .iter()
-            .filter(|r| r.window < days)
             .flat_map(|r| r.detections.iter())
             .filter(|d| d.domain == rank1)
             .count();

@@ -21,15 +21,17 @@
 //!    exits without streaming, and a worker that writes garbage all
 //!    surface as typed `TransportError`s, never a panic or a hang.
 //!
-//! The worker binary is `bench`'s `shard_worker`, located next to this
-//! test executable the same way the production coordinator locates it.
+//! The worker binary is `bench`'s `shard_worker`. Cargo builds this
+//! package's binaries before its integration tests, into the directory
+//! above this test executable, where the production coordinator's
+//! discovery finds it.
 
 use bench::specs::{BenchWorldSpec, SHARD_WORKER};
-use encore_repro::population::transport::{
+use population::transport::{
     sibling_worker, ProcessTransport, ShardTransport, ThreadTransport, TransportError, WorldSpec,
 };
-use encore_repro::population::{ShardContext, WorldEngine};
-use encore_repro::sim_core::SimRng;
+use population::{ShardContext, WorldEngine};
+use sim_core::SimRng;
 
 const SEED: u64 = 0x7A_57;
 const DAYS: u64 = 6;

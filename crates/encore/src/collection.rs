@@ -531,6 +531,19 @@ fn parse_submission(url: &str) -> Option<ParsedSubmission<'_>> {
     })
 }
 
+/// Whether a user agent names automated traffic: it contains "bot",
+/// "crawler" or "scanner" in any ASCII case. The single crawler rule of
+/// both the exact record path and the streaming ingest filter; it
+/// allocates nothing, since it runs once per record.
+fn is_crawler_agent(user_agent: &str) -> bool {
+    ["bot", "crawler", "scanner"].iter().any(|needle| {
+        user_agent
+            .as_bytes()
+            .windows(needle.len())
+            .any(|w| w.eq_ignore_ascii_case(needle.as_bytes()))
+    })
+}
+
 /// A submission as stored server-side, enriched with connection metadata.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StoredMeasurement {
@@ -548,8 +561,7 @@ impl StoredMeasurement {
     /// Whether this record came from automated traffic (the §6.2 campus
     /// security scanner, search-engine crawlers, …).
     pub fn is_crawler(&self) -> bool {
-        let ua = self.submission.user_agent.to_ascii_lowercase();
-        ua.contains("bot") || ua.contains("crawler") || ua.contains("scanner")
+        is_crawler_agent(&self.submission.user_agent)
     }
 
     /// Target domain of the measurement.
@@ -1009,7 +1021,7 @@ impl Store {
         }
 
         // Detector-equivalent window fold: the filter cascade below is
-        // `FilteringDetector::build_matrix` verbatim (phase → crawler →
+        // the exact detector's record fold verbatim (phase → crawler →
         // outcome → congestion discount → domain → per-ip cap), applied
         // at ingest because the raw record will not exist at detect
         // time. Country resolution (which exact mode applies just
@@ -1019,10 +1031,10 @@ impl Store {
         let domain = *st.domain_of.entry(target_url).or_insert_with(|| {
             netsim::http::host_of(strings.resolve(target_url)).map(|d| strings.intern(&d))
         });
-        let crawler = *st.crawler_of.entry(user_agent).or_insert_with(|| {
-            let ua = strings.resolve(user_agent).to_ascii_lowercase();
-            ua.contains("bot") || ua.contains("crawler") || ua.contains("scanner")
-        });
+        let crawler = *st
+            .crawler_of
+            .entry(user_agent)
+            .or_insert_with(|| is_crawler_agent(strings.resolve(user_agent)));
         let window = now.as_micros() / st.window_micros;
         let exclude_crawlers = st.exclude_crawlers;
         let discount_congestion = st.discount_congestion;
@@ -1674,6 +1686,50 @@ mod tests {
             received_at: SimTime::ZERO,
         };
         assert!(!human.is_crawler());
+    }
+
+    #[test]
+    fn crawler_agents_match_in_any_case_on_both_paths() {
+        let agents = [
+            ("GoogleBot", true),
+            ("Security-SCANNER", true),
+            ("Chrome", false),
+        ];
+        // Exact path: the stored record's check, which the detector and
+        // the country reports apply.
+        for (ua, crawler) in agents {
+            let rec = StoredMeasurement {
+                submission: Submission {
+                    user_agent: ua.into(),
+                    ..submission()
+                },
+                client_ip: Ipv4Addr::new(100, 0, 0, 9),
+                referer: None,
+                received_at: SimTime::ZERO,
+            };
+            assert_eq!(rec.is_crawler(), crawler, "{ua}");
+        }
+        // Streaming ingest: only the human agent reaches the window cells.
+        let mut net = Network::ideal(World::builtin());
+        let server = streaming_server(&mut net, &StreamingConfig::default());
+        let client = net.add_client(country("US"), IspClass::Residential);
+        let mut rng = SimRng::new(1);
+        for (i, (ua, _)) in agents.iter().enumerate() {
+            let sub = Submission {
+                measurement_id: MeasurementId(i as u64),
+                user_agent: ua.to_string(),
+                ..submission()
+            };
+            let req = HttpRequest::get(server.submit_url(&sub));
+            net.fetch(&client, &req, SimTime::from_secs(i as u64), &mut rng);
+        }
+        let alloc = net.allocator.clone();
+        server.close_all_windows(|ip| alloc.country_of(ip));
+        let stats = server.snapshot().streaming.expect("streaming stats");
+        assert_eq!(stats.windows.len(), 1);
+        assert_eq!(stats.windows[0].measurements, 3);
+        let counted: u64 = stats.windows[0].cells.iter().map(|c| c.n).sum();
+        assert_eq!(counted, 1, "only the Chrome submission counts");
     }
 
     fn streaming_server(net: &mut Network, cfg: &StreamingConfig) -> CollectionServer {

@@ -15,11 +15,14 @@
 
 use crate::collection::{StoredMeasurement, SubmissionPhase};
 use crate::geo::GeoDb;
+use crate::streaming::{CellEntry, StreamingStats, WindowCells};
 use crate::tasks::TaskOutcome;
 use netsim::geo::CountryCode;
 use serde::{Deserialize, Serialize};
-use sim_core::OneSidedBinomialTest;
-use std::collections::BTreeMap;
+use sim_core::{FxBuildHasher, OneSidedBinomialTest};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
+use std::net::Ipv4Addr;
 
 /// Detector configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -120,47 +123,15 @@ impl FilteringDetector {
         records: &[StoredMeasurement],
         geo: &GeoDb,
     ) -> BTreeMap<(String, CountryCode), Cell> {
-        let mut matrix: BTreeMap<(String, CountryCode), Cell> = BTreeMap::new();
-        let mut per_ip: BTreeMap<(String, std::net::Ipv4Addr), u64> = BTreeMap::new();
+        let mut fold = WindowFold::default();
         for rec in records {
-            if rec.submission.phase != SubmissionPhase::Result {
-                continue;
-            }
-            if self.config.exclude_crawlers && rec.is_crawler() {
-                continue;
-            }
-            let Some(outcome) = rec.submission.outcome else {
-                continue;
-            };
-            if self.config.discount_congestion
-                && outcome == TaskOutcome::Failure
-                && rec.submission.congested
-            {
-                // Near-source congestion signal: the transit link shed
-                // this fetch and said so. Path evidence, not resource
-                // evidence — see `DetectorConfig::discount_congestion`.
-                continue;
-            }
-            let Some(domain) = rec.target_domain() else {
-                continue;
-            };
-            let Some(country) = geo.lookup(rec.client_ip) else {
-                continue;
-            };
-            if let Some(cap) = self.config.max_per_ip {
-                let seen = per_ip.entry((domain.clone(), rec.client_ip)).or_insert(0);
-                if *seen >= cap {
-                    continue; // poisoning mitigation: flooding one IP stops counting
-                }
-                *seen += 1;
-            }
-            let cell = matrix.entry((domain, country)).or_default();
-            cell.n += 1;
-            if outcome == TaskOutcome::Success {
-                cell.x += 1;
-            }
+            fold.add(&self.config, rec, geo);
         }
-        matrix
+        fold.close(0)
+            .cells
+            .into_iter()
+            .map(|c| ((c.domain, c.country), Cell { n: c.n, x: c.x }))
+            .collect()
     }
 
     /// Run the §7.2 detection rule over the matrix.
@@ -169,20 +140,22 @@ impl FilteringDetector {
     }
 
     /// The §7.2 decision rule over an already-built measurement matrix.
-    /// [`detect`](Self::detect) builds the matrix from raw records; the
-    /// streaming path ([`judge_streamed`](Self::judge_streamed)) folds
-    /// it online at ingest and hands the closed windows here — both
-    /// paths share this single implementation of the test, so the
-    /// verdict logic cannot diverge between modes.
-    pub fn detect_from_matrix(
+    /// [`detect`](Self::detect) builds the matrix from raw records; both
+    /// windowed paths ([`detect_windows`](Self::detect_windows) and
+    /// [`judge_streamed`](Self::judge_streamed)) hand each closed
+    /// window's folded cells here through `judge_window` — every path
+    /// shares this single implementation of the test, so the verdict
+    /// logic cannot diverge between modes. The domain key may be owned
+    /// or borrowed.
+    pub fn detect_from_matrix<D: AsRef<str>>(
         &self,
-        matrix: &BTreeMap<(String, CountryCode), Cell>,
+        matrix: &BTreeMap<(D, CountryCode), Cell>,
     ) -> Vec<Detection> {
         // Group cells by domain.
-        let mut by_domain: BTreeMap<String, Vec<(CountryCode, Cell)>> = BTreeMap::new();
+        let mut by_domain: BTreeMap<&str, Vec<(CountryCode, Cell)>> = BTreeMap::new();
         for ((domain, country), cell) in matrix {
             by_domain
-                .entry(domain.clone())
+                .entry(domain.as_ref())
                 .or_default()
                 .push((*country, *cell));
         }
@@ -217,7 +190,7 @@ impl FilteringDetector {
             }
             for (country, cell) in failing {
                 detections.push(Detection {
-                    domain: domain.clone(),
+                    domain: domain.to_string(),
                     country,
                     n: cell.n,
                     x: cell.x,
@@ -371,6 +344,15 @@ impl FilteringDetector {
     /// changing social or political conditions (e.g., a national
     /// election)") — the onset and lifting of a block appear as
     /// detections entering and leaving consecutive windows.
+    ///
+    /// No record is cloned: one pass sorts borrowed references into
+    /// windows, then each window's records are folded once into its
+    /// [`WindowCells`] (the type streaming mode folds at ingest), keyed
+    /// by the domain borrowed from the record. The per-IP cap counts the
+    /// first `max_per_ip` records of each window in record order,
+    /// exactly as running [`detect`](Self::detect) on each window's
+    /// records alone would; its map is cleared and reused per window, so
+    /// it never holds more than one window's clients.
     pub fn detect_windows(
         &self,
         records: &[StoredMeasurement],
@@ -378,21 +360,22 @@ impl FilteringDetector {
         window: sim_core::SimDuration,
     ) -> Vec<WindowReport> {
         assert!(window.as_micros() > 0, "window must be positive");
-        let mut by_window: BTreeMap<u64, Vec<StoredMeasurement>> = BTreeMap::new();
+        let window_micros = window.as_micros();
+        let mut by_window: BTreeMap<u64, Vec<&StoredMeasurement>> = BTreeMap::new();
         for rec in records {
-            let w = rec.received_at.as_micros() / window.as_micros();
-            by_window.entry(w).or_default().push(rec.clone());
+            by_window
+                .entry(rec.received_at.as_micros() / window_micros)
+                .or_default()
+                .push(rec);
         }
+        let mut fold = WindowFold::default();
         by_window
             .into_iter()
-            .map(|(w, recs)| WindowReport {
-                window: w,
-                start: sim_core::SimTime::from_micros(w * window.as_micros()),
-                measurements: recs
-                    .iter()
-                    .filter(|r| r.submission.phase == SubmissionPhase::Result)
-                    .count(),
-                detections: self.detect(&recs, geo),
+            .map(|(w, recs)| {
+                for rec in recs {
+                    fold.add(&self.config, rec, geo);
+                }
+                self.judge_window(&fold.close(w), window_micros)
             })
             .collect()
     }
@@ -405,24 +388,105 @@ impl FilteringDetector {
     /// identical traffic with a zero-error geo database this produces
     /// the same reports as the exact path, record for record — the
     /// `simcheck` streaming oracle holds the two paths to that.
-    pub fn judge_streamed(&self, stats: &crate::streaming::StreamingStats) -> Vec<WindowReport> {
+    pub fn judge_streamed(&self, stats: &StreamingStats) -> Vec<WindowReport> {
         stats
             .windows
             .iter()
-            .map(|w| {
-                let matrix: BTreeMap<(String, CountryCode), Cell> = w
-                    .cells
-                    .iter()
-                    .map(|c| ((c.domain.clone(), c.country), Cell { n: c.n, x: c.x }))
-                    .collect();
-                WindowReport {
-                    window: w.window,
-                    start: sim_core::SimTime::from_micros(w.window * stats.window_micros),
-                    measurements: w.measurements as usize,
-                    detections: self.detect_from_matrix(&matrix),
-                }
-            })
+            .map(|w| self.judge_window(w, stats.window_micros))
             .collect()
+    }
+
+    /// Judge one closed window: the step exact and streaming mode
+    /// share, from folded cells to the window's report.
+    fn judge_window(&self, cells: &WindowCells, window_micros: u64) -> WindowReport {
+        let matrix: BTreeMap<(&str, CountryCode), Cell> = cells
+            .cells
+            .iter()
+            .map(|c| ((c.domain.as_str(), c.country), Cell { n: c.n, x: c.x }))
+            .collect();
+        WindowReport {
+            window: cells.window,
+            start: sim_core::SimTime::from_micros(cells.window * window_micros),
+            measurements: cells.measurements as usize,
+            detections: self.detect_from_matrix(&matrix),
+        }
+    }
+}
+
+/// The evidence of one window folded from borrowed records: the filter
+/// cascade and per-IP cap of the §7.2 matrix. Streaming ingest applies
+/// the same cascade to each submission as it arrives.
+#[derive(Default)]
+struct WindowFold<'a> {
+    /// Result-phase records, before filters.
+    measurements: u64,
+    cells: HashMap<(Cow<'a, str>, CountryCode), Cell, FxBuildHasher>,
+    /// Records counted per `(domain, client)`, for the poisoning cap.
+    per_ip: HashMap<(Cow<'a, str>, Ipv4Addr), u64, FxBuildHasher>,
+}
+
+impl<'a> WindowFold<'a> {
+    fn add(&mut self, config: &DetectorConfig, rec: &'a StoredMeasurement, geo: &GeoDb) {
+        let sub = &rec.submission;
+        if sub.phase != SubmissionPhase::Result {
+            return;
+        }
+        self.measurements += 1;
+        if config.exclude_crawlers && rec.is_crawler() {
+            return;
+        }
+        let Some(outcome) = sub.outcome else {
+            return;
+        };
+        if config.discount_congestion && outcome == TaskOutcome::Failure && sub.congested {
+            // Near-source congestion signal: the transit link shed this
+            // fetch and said so. Path evidence, not resource evidence —
+            // see `DetectorConfig::discount_congestion`.
+            return;
+        }
+        let Some(domain) = netsim::http::host_ref(&sub.target_url) else {
+            return;
+        };
+        let Some(country) = geo.lookup(rec.client_ip) else {
+            return;
+        };
+        if let Some(cap) = config.max_per_ip {
+            let seen = self
+                .per_ip
+                .entry((domain.clone(), rec.client_ip))
+                .or_insert(0);
+            if *seen >= cap {
+                return; // poisoning mitigation: flooding one IP stops counting
+            }
+            *seen += 1;
+        }
+        let cell = self.cells.entry((domain, country)).or_default();
+        cell.n += 1;
+        if outcome == TaskOutcome::Success {
+            cell.x += 1;
+        }
+    }
+
+    /// Take the window's cells, sorted by `(domain, country)`, and
+    /// reset the fold for the next window.
+    fn close(&mut self, window: u64) -> WindowCells {
+        self.per_ip.clear();
+        let mut cells: Vec<CellEntry> = self
+            .cells
+            .drain()
+            .map(|((domain, country), cell)| CellEntry {
+                domain: domain.into_owned(),
+                country,
+                n: cell.n,
+                x: cell.x,
+            })
+            .collect();
+        cells.sort_by(|a, b| (&a.domain, a.country).cmp(&(&b.domain, b.country)));
+        WindowCells {
+            window,
+            measurements: std::mem::take(&mut self.measurements),
+            cells,
+        }
     }
 }
 

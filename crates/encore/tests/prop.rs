@@ -296,3 +296,223 @@ mod streaming_props {
         }
     }
 }
+
+/// The one-pass windowed detector against the clone-per-window
+/// computation it replaced: every window is cloned out of the record
+/// log and judged on its own, with the record-level matrix built as it
+/// was before the fold existed. The two must agree report for report.
+mod window_fold_props {
+    use super::*;
+    use encore::collection::{StoredMeasurement, Submission, SubmissionPhase};
+    use encore::geo::GeoDb;
+    use encore::inference::{Cell, DetectorConfig, FilteringDetector, WindowReport};
+    use encore::tasks::{TaskOutcome, TaskType};
+    use netsim::geo::{country, CountryCode};
+    use netsim::ip::IpAllocator;
+    use std::collections::BTreeMap;
+    use std::net::Ipv4Addr;
+
+    const WINDOW_SECS: u64 = 100;
+    /// Upper-case hosts exercise the owned-domain case of the fold.
+    const URLS: [&str; 5] = [
+        "http://a.com/favicon.ico",
+        "http://A.COM/logo.png",
+        "http://b.org/x.css",
+        "http://B.org/y.js",
+        "no-host-here",
+    ];
+    const AGENTS: [&str; 5] = [
+        "Chrome",
+        "Firefox",
+        "GoogleBot/2.1",
+        "Security-SCANNER",
+        "mozilla (CRAWLER)",
+    ];
+
+    /// The matrix exactly as the detector built it from raw records
+    /// before the window fold, allocating crawler check included.
+    fn reference_matrix(
+        config: &DetectorConfig,
+        records: &[StoredMeasurement],
+        geo: &GeoDb,
+    ) -> BTreeMap<(String, CountryCode), Cell> {
+        let mut matrix: BTreeMap<(String, CountryCode), Cell> = BTreeMap::new();
+        let mut per_ip: BTreeMap<(String, Ipv4Addr), u64> = BTreeMap::new();
+        for rec in records {
+            if rec.submission.phase != SubmissionPhase::Result {
+                continue;
+            }
+            let ua = rec.submission.user_agent.to_ascii_lowercase();
+            let crawler = ua.contains("bot") || ua.contains("crawler") || ua.contains("scanner");
+            if config.exclude_crawlers && crawler {
+                continue;
+            }
+            let Some(outcome) = rec.submission.outcome else {
+                continue;
+            };
+            if config.discount_congestion
+                && outcome == TaskOutcome::Failure
+                && rec.submission.congested
+            {
+                continue;
+            }
+            let Some(domain) = rec.target_domain() else {
+                continue;
+            };
+            let Some(country) = geo.lookup(rec.client_ip) else {
+                continue;
+            };
+            if let Some(cap) = config.max_per_ip {
+                let seen = per_ip.entry((domain.clone(), rec.client_ip)).or_insert(0);
+                if *seen >= cap {
+                    continue;
+                }
+                *seen += 1;
+            }
+            let cell = matrix.entry((domain, country)).or_default();
+            cell.n += 1;
+            if outcome == TaskOutcome::Success {
+                cell.x += 1;
+            }
+        }
+        matrix
+    }
+
+    /// Clone each window's records out of the log and judge it alone.
+    fn reference_windows(
+        det: &FilteringDetector,
+        records: &[StoredMeasurement],
+        geo: &GeoDb,
+        window: SimDuration,
+    ) -> Vec<WindowReport> {
+        let mut by_window: BTreeMap<u64, Vec<StoredMeasurement>> = BTreeMap::new();
+        for rec in records {
+            let w = rec.received_at.as_micros() / window.as_micros();
+            by_window.entry(w).or_default().push(rec.clone());
+        }
+        by_window
+            .into_iter()
+            .map(|(w, recs)| WindowReport {
+                window: w,
+                start: SimTime::from_micros(w * window.as_micros()),
+                measurements: recs
+                    .iter()
+                    .filter(|r| r.submission.phase == SubmissionPhase::Result)
+                    .count(),
+                detections: det.detect_from_matrix(&reference_matrix(&det.config, &recs, geo)),
+            })
+            .collect()
+    }
+
+    fn record(url: &str, ua: &str, ip: Ipv4Addr, code: u8, at_ms: u64) -> StoredMeasurement {
+        // code: 0 init, 1 success, 2 failure, 3 congestion-flagged failure.
+        let (phase, outcome) = match code {
+            0 => (SubmissionPhase::Init, None),
+            1 => (SubmissionPhase::Result, Some(TaskOutcome::Success)),
+            _ => (SubmissionPhase::Result, Some(TaskOutcome::Failure)),
+        };
+        StoredMeasurement {
+            submission: Submission {
+                measurement_id: MeasurementId(at_ms),
+                phase,
+                outcome,
+                elapsed_ms: 40,
+                task_type: TaskType::Image,
+                target_url: url.to_string(),
+                user_agent: ua.to_string(),
+                congested: code == 3,
+            },
+            client_ip: ip,
+            referer: None,
+            received_at: SimTime::from_millis(at_ms),
+        }
+    }
+
+    /// A generated record log over four windows: a per-window base of
+    /// healthy US and failing TR clients on `a.com` (so windows do
+    /// flag), arbitrary
+    /// noise records in arbitrary time order, and single-IP floods that
+    /// straddle a window boundary.
+    fn arb_log() -> impl Strategy<Value = (Vec<StoredMeasurement>, GeoDb)> {
+        let noise = proptest::collection::vec(
+            (0usize..URLS.len(), 0usize..AGENTS.len(), 0usize..8, 0u8..4),
+            0..120,
+        );
+        let times = proptest::collection::vec(0u64..4 * WINDOW_SECS * 1_000, 120..121);
+        let floods =
+            proptest::collection::vec((0usize..8, 0usize..URLS.len(), 0u64..4, 4u64..12), 0..4);
+        (noise, times, floods, any::<u64>()).prop_map(|(noise, times, floods, base_seed)| {
+            let mut alloc = IpAllocator::new();
+            // Clients 0–2 in the US, 3–5 in TR, 6 in CN; client 7 has no
+            // GeoIP entry at all.
+            let mut ips: Vec<Ipv4Addr> = ["US", "US", "US", "TR", "TR", "TR", "CN"]
+                .iter()
+                .map(|cc| alloc.allocate(country(cc)))
+                .collect();
+            ips.push(Ipv4Addr::new(203, 0, 113, 7));
+            let mut records = Vec::new();
+            for w in 0..4u64 {
+                for (i, &ip) in ips.iter().take(6).enumerate() {
+                    let url = URLS[(base_seed as usize + i) % 2];
+                    let code = if i < 3 { 1 } else { 2 };
+                    for k in 0..6 {
+                        let at = w * WINDOW_SECS * 1_000 + 1_000 * (i as u64) + k;
+                        records.push(record(url, "Chrome", ip, code, at));
+                    }
+                }
+            }
+            for (&(url, ua, client, code), &at) in noise.iter().zip(&times) {
+                records.push(record(URLS[url], AGENTS[ua], ips[client], code, at));
+            }
+            for &(client, url, boundary, len) in &floods {
+                let edge = (boundary + 1) * WINDOW_SECS * 1_000;
+                for k in 0..len {
+                    let code = if k % 3 == 0 { 1 } else { 2 };
+                    records.push(record(
+                        URLS[url],
+                        "Chrome",
+                        ips[client],
+                        code,
+                        edge - len / 2 + k,
+                    ));
+                }
+            }
+            // Seeded shuffle, so receive times arrive out of order.
+            let mut shuffled = Vec::with_capacity(records.len());
+            let mut rng = SimRng::new(base_seed);
+            while !records.is_empty() {
+                let i = rng.range_u64(0, records.len() as u64) as usize;
+                shuffled.push(records.swap_remove(i));
+            }
+            (shuffled, GeoDb::from_allocator(&alloc))
+        })
+    }
+
+    proptest! {
+        /// One pass over borrowed records equals judging each cloned
+        /// window alone, under the default detector and under a tight
+        /// cap that the floods overrun.
+        #[test]
+        fn one_pass_detect_windows_equals_clone_per_window(log in arb_log()) {
+            let (records, geo) = log;
+            let window = SimDuration::from_secs(WINDOW_SECS);
+            let tight = DetectorConfig {
+                max_per_ip: Some(3),
+                min_measurements: 2,
+                ..DetectorConfig::default()
+            };
+            let lax = DetectorConfig {
+                exclude_crawlers: false,
+                discount_congestion: false,
+                max_per_ip: None,
+                ..tight
+            };
+            for config in [DetectorConfig::default(), tight, lax] {
+                let det = FilteringDetector::new(config);
+                let fold = det.detect_windows(&records, &geo, window);
+                prop_assert_eq!(&fold, &reference_windows(&det, &records, &geo, window));
+                prop_assert!(fold.iter().any(|r| !r.detections.is_empty()));
+            }
+        }
+    }
+}

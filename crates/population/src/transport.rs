@@ -112,7 +112,7 @@ pub const WORKER_BIN_ENV: &str = "ENCORE_WORKER_BIN";
 /// Implementations must be **deterministic**: the same spec value must
 /// build byte-identical worlds in every process, because cross-backend
 /// equivalence (threads vs process, proven in
-/// `tests/transport_equivalence.rs` and simcheck's transport oracle)
+/// `crates/bench/tests/transport_equivalence.rs` and simcheck's transport oracle)
 /// rests on it. Closures stay out of the picture by construction — only
 /// the spec's serialized fields cross the pipe.
 pub trait WorldSpec: Serialize + Deserialize + Send + Sync {

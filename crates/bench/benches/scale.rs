@@ -12,7 +12,7 @@ use bench::shard_fixture::{batch as fixture_batch, build_censored as build};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use netsim::geo::World;
 use population::shard::ShardContext;
-use population::{run_sharded_batch, run_visit_batch, Audience, BatchConfig, ShardedBatchConfig};
+use population::{run_sharded_world, run_visit_batch, Audience, BatchConfig, WorldRecipe};
 use sim_core::SimRng;
 
 const VISITS: u64 = 20_000;
@@ -39,19 +39,16 @@ fn bench_scale(c: &mut Criterion) {
         })
     });
 
+    let recipe = WorldRecipe::batch(batch());
     for (shards, id) in [
         (2usize, "sharded_2x_20k_visits"),
         (8, "sharded_8x_20k_visits"),
     ] {
         group.bench_function(id, |b| {
             b.iter(|| {
-                let config = ShardedBatchConfig {
-                    shards,
-                    batch: batch(),
-                };
-                let run = run_sharded_batch(&build, &audience, &config, 0x5CA1E);
-                assert_eq!(run.report.visits, VISITS);
-                black_box(run.report)
+                let run = run_sharded_world(&build, &audience, &recipe, shards, 0x5CA1E);
+                assert_eq!(run.outcome.report.visits, VISITS);
+                black_box(run.outcome.report)
             })
         });
     }

@@ -15,10 +15,8 @@
 //!   zero-allocation warm path the interning/SoA work targets;
 //!
 //! — plus a sharded run of the `mixed` mode at the machine's top shard
-//! count. Results go to `results/hotpath.json`, with the PR 5 baseline
-//! numbers (measured on the reference container before the
-//! data-oriented refactor) baked in alongside so the trajectory is
-//! visible in one artifact.
+//! count. Results go to `results/hotpath.json`. Every speedup it reports
+//! is against a run on the same host in the same invocation.
 //!
 //! Determinism is re-checked while timing: the 1-shard sharded run must
 //! be byte-identical to the serial driver, and a repeated serial run
@@ -44,17 +42,10 @@ use bench::print_table;
 use bench::shard_fixture::{batch, build_censored as build};
 use netsim::geo::World;
 use population::shard::ShardContext;
-use population::{run_sharded_batch, run_visit_batch, Audience, BatchConfig, ShardedBatchConfig};
+use population::{run_sharded_world, run_visit_batch, Audience, BatchConfig, WorldRecipe};
 use serde::Serialize;
 use sim_core::SimRng;
 use std::time::Instant;
-
-/// PR 5 serial visits/s (mixed mode) on the reference container —
-/// measured at commit "Re-anchor ROADMAP" before the data-oriented hot
-/// path landed. The ≥5× acceptance gate in ISSUE 6 is relative to this.
-const PR5_SERIAL_VPS: f64 = 50_565.0;
-/// PR 5 ns/visit (mixed mode) on the reference container.
-const PR5_NS_PER_VISIT: f64 = 19_777.0;
 
 #[derive(Serialize)]
 struct ModePoint {
@@ -76,11 +67,8 @@ struct ShardPoint {
 struct HotpathResult {
     visits: u64,
     hardware_threads: usize,
-    baseline_pr5_serial_visits_per_sec: f64,
-    baseline_pr5_ns_per_visit: f64,
     serial: Vec<ModePoint>,
     sharded: Vec<ShardPoint>,
-    speedup_vs_pr5_baseline: f64,
     lockstep_ok: bool,
     reproducible_ok: bool,
 }
@@ -151,7 +139,7 @@ fn main() {
             format!("serial/{mode}"),
             format!("{vps:.0}"),
             format!("{ns:.0}"),
-            format!("{:.2}x", vps / PR5_SERIAL_VPS),
+            "-".to_string(),
         ]);
         if mode == "mixed" {
             mixed_vps = vps;
@@ -176,38 +164,36 @@ fn main() {
         .collect();
     let mut shard_points = Vec::new();
     let mut lockstep_ok = true;
+    let recipe = WorldRecipe::batch(mode_config(visits, 0.35));
     for &shards in &shard_counts {
-        let config = ShardedBatchConfig {
-            shards,
-            batch: mode_config(visits, 0.35),
-        };
         let t = Instant::now();
-        let run = run_sharded_batch(&build, &audience, &config, seed);
+        let run = run_sharded_world(&build, &audience, &recipe, shards, seed);
         let mut secs = t.elapsed().as_secs_f64();
         for _ in 1..reps {
             let t = Instant::now();
-            let run_n = run_sharded_batch(&build, &audience, &config, seed);
+            let run_n = run_sharded_world(&build, &audience, &recipe, shards, seed);
             secs = secs.min(t.elapsed().as_secs_f64());
-            if run_n.report != run.report || run_n.collection != run.collection {
+            if run_n.outcome.report != run.outcome.report || run_n.collection != run.collection {
                 eprintln!("DETERMINISM VIOLATION: fixed-seed {shards}-shard run not reproducible");
                 lockstep_ok = false;
             }
         }
-        let vps = run.report.visits as f64 / secs;
-        if shards == 1 && (run.report != mixed_report || run.collection != mixed_snapshot) {
+        let report = run.outcome.report;
+        let vps = report.visits as f64 / secs;
+        if shards == 1 && (report != mixed_report || run.collection != mixed_snapshot) {
             eprintln!("DETERMINISM VIOLATION: 1-shard run differs from the serial driver");
             lockstep_ok = false;
         }
         rows.push(vec![
             format!("shards/{shards}"),
             format!("{vps:.0}"),
-            format!("{:.0}", secs * 1e9 / run.report.visits as f64),
+            format!("{:.0}", secs * 1e9 / report.visits as f64),
             format!("{:.2}x", vps / mixed_vps),
         ]);
         shard_points.push(ShardPoint {
             shards,
             visits_per_sec: vps,
-            ns_per_visit: secs * 1e9 / run.report.visits as f64,
+            ns_per_visit: secs * 1e9 / report.visits as f64,
             speedup_vs_serial: vps / mixed_vps,
         });
     }
@@ -216,25 +202,19 @@ fn main() {
         .iter()
         .map(|p| p.speedup_vs_serial)
         .fold(0.0f64, f64::max);
-    let speedup_vs_pr5 = mixed_vps / PR5_SERIAL_VPS;
     println!(
         "Visit hot path — {visits} visits, seed {seed:#x}, {hardware} hw thread(s), \
-         min of {reps} rep(s); PR5 baseline {PR5_SERIAL_VPS:.0} visits/s \
-         ({PR5_NS_PER_VISIT:.0} ns/visit)"
+         min of {reps} rep(s)"
     );
-    print_table(&["config", "visits/s", "ns/visit", "speedup"], &rows);
-    println!("serial/mixed vs PR5 baseline: {speedup_vs_pr5:.2}x");
+    print_table(&["config", "visits/s", "ns/visit", "vs serial"], &rows);
 
     args.write_results(
         "hotpath",
         &HotpathResult {
             visits,
             hardware_threads: hardware,
-            baseline_pr5_serial_visits_per_sec: PR5_SERIAL_VPS,
-            baseline_pr5_ns_per_visit: PR5_NS_PER_VISIT,
             serial: serial_points,
             sharded: shard_points,
-            speedup_vs_pr5_baseline: speedup_vs_pr5,
             lockstep_ok,
             reproducible_ok,
         },
@@ -242,9 +222,8 @@ fn main() {
 
     // Parallelism-aware throughput gate, same shape as `world_scale`:
     // the sharded run must show real parallel efficiency on this
-    // machine. (The ≥5× serial gate vs the PR 5 baseline is asserted on
-    // the reference container and recorded in the JSON; wall-clock on
-    // arbitrary runners is too noisy to hard-gate an absolute number.)
+    // machine. (Wall-clock on arbitrary runners is too noisy to
+    // hard-gate an absolute number.)
     let required = args.min_speedup((0.4 * hardware as f64).clamp(0.4, 4.0));
     let throughput_ok = best >= required;
     if !throughput_ok {

@@ -24,7 +24,7 @@ use bench::print_table;
 use bench::shard_fixture::{batch, build_censored as build};
 use netsim::geo::World;
 use population::shard::ShardContext;
-use population::{run_sharded_batch, run_visit_batch, Audience, ShardedBatchConfig};
+use population::{run_sharded_world, run_visit_batch, Audience, WorldRecipe};
 use serde::Serialize;
 use sim_core::SimRng;
 use std::time::Instant;
@@ -87,17 +87,15 @@ fn main() {
         "-".to_string(),
     ]);
 
+    let recipe = WorldRecipe::batch(batch(visits));
     for &shards in &shard_counts {
-        let config = ShardedBatchConfig {
-            shards,
-            batch: batch(visits),
-        };
         let t = Instant::now();
-        let run = run_sharded_batch(&build, &audience, &config, seed);
+        let run = run_sharded_world(&build, &audience, &recipe, shards, seed);
         let secs = t.elapsed().as_secs_f64();
         let vps = visits as f64 / secs;
 
-        if shards == 1 && (run.report != serial_report || run.collection != serial_snapshot) {
+        if shards == 1 && (run.outcome.report != serial_report || run.collection != serial_snapshot)
+        {
             eprintln!("DETERMINISM VIOLATION: 1-shard run differs from the serial driver");
             lockstep_ok = false;
         }
@@ -125,13 +123,10 @@ fn main() {
 
     // Reproducibility at the highest shard count.
     let top = *shard_counts.last().unwrap();
-    let config = ShardedBatchConfig {
-        shards: top,
-        batch: batch(visits.min(20_000)),
-    };
-    let a = run_sharded_batch(&build, &audience, &config, seed);
-    let b = run_sharded_batch(&build, &audience, &config, seed);
-    let reproducible_ok = a.report == b.report && a.collection == b.collection;
+    let recipe = WorldRecipe::batch(batch(visits.min(20_000)));
+    let a = run_sharded_world(&build, &audience, &recipe, top, seed);
+    let b = run_sharded_world(&build, &audience, &recipe, top, seed);
+    let reproducible_ok = a.outcome.report == b.outcome.report && a.collection == b.collection;
     if !reproducible_ok {
         eprintln!("DETERMINISM VIOLATION: fixed (seed, shards) run not reproducible");
     }

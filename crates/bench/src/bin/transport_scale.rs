@@ -27,9 +27,9 @@
 //!   scheduling waste. See DESIGN.md "Distributed world".) Override
 //!   either budget with `--min-speedup`/`ENCORE_MIN_SPEEDUP`.
 //! * **Streaming memory** — the coordinator's peak resident outcome
-//!   count stays ≤ 2 (the running fold plus the partial of the one
-//!   shard being drained), independent of shard count: outcomes stream
-//!   and merge incrementally, they are never all buffered. `VmHWM` from
+//!   count stays ≤ 2 (the running fold plus the one shard being
+//!   read), independent of shard count: outcomes stream and merge
+//!   incrementally, they are never all buffered. `VmHWM` from
 //!   `/proc/self/status` is recorded informationally (it includes the
 //!   thread-backend runs sharing this process).
 //!
@@ -42,7 +42,7 @@
 use bench::fixtures::RunArgs;
 use bench::print_table;
 use bench::specs::{BenchWorldSpec, SHARD_WORKER};
-use population::transport::{ProcessTransport, ShardTransport, ThreadTransport, TransportStats};
+use population::transport::{run_on_threads, ProcessTransport, TransportStats};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -113,9 +113,7 @@ fn main() {
     let mut byte_identical_ok = true;
     let mut streaming_memory_ok = true;
     for &shards in &identity_shards {
-        let threads_run = ThreadTransport
-            .run(&spec, shards, seed)
-            .expect("thread transport cannot fail to spawn");
+        let threads_run = run_on_threads(&spec, shards, seed);
         let (process_run, stats): (_, TransportStats) = match process
             .run_with_stats(&spec, shards, seed)
         {
@@ -166,9 +164,7 @@ fn main() {
     let mut process_secs = f64::INFINITY;
     for _ in 0..reps {
         let t = Instant::now();
-        let _ = ThreadTransport
-            .run(&spec, top, seed)
-            .expect("thread transport cannot fail to spawn");
+        let _ = run_on_threads(&spec, top, seed);
         threads_secs = threads_secs.min(t.elapsed().as_secs_f64());
 
         let t = Instant::now();

@@ -495,12 +495,12 @@ pub mod adaptive_fixture {
 /// The shared congestion-vs-censorship fixture: a 30-day **routed**
 /// world (scale-free AS topology, Turkey's path to the US-hosted target
 /// forced across a transit hotspot) where a week-long transit brownout
-/// (days [`BROWNOUT_START`]..[`BROWNOUT_END`]) brackets a real DNS
-/// block (days [`BLOCK_ONSET`]..[`BLOCK_LIFT`]). The two brownout-only
+/// (days [`BROWNOUT_START`](congested_fixture::BROWNOUT_START)..[`BROWNOUT_END`](congested_fixture::BROWNOUT_END)) brackets a real DNS
+/// block (days [`BLOCK_ONSET`](congested_fixture::BLOCK_ONSET)..[`BLOCK_LIFT`](congested_fixture::BLOCK_LIFT)). The two brownout-only
 /// days before the block are the trap: a detector that reads shed
 /// fetches as censorship advances the onset to day 8; the
 /// congestion-aware detector must localise onset exactly at
-/// [`BLOCK_ONSET`] and never flag days 8–9.
+/// [`BLOCK_ONSET`](congested_fixture::BLOCK_ONSET) and never flag days 8–9.
 ///
 /// One definition serves `tests/congested_world.rs` (golden snapshot +
 /// 1-vs-2-shard verdict check) and the `topology_scale` bench binary,
@@ -620,7 +620,7 @@ pub mod congested_fixture {
 /// * **Standing registry regimes** ([`censor::registry`]): China, Iran,
 ///   and Pakistan filter the social targets for the whole run.
 /// * **A scheduled block**: Turkey blocks twitter.com days
-///   [`TR_BLOCK_ONSET`]..[`TR_BLOCK_LIFT`] (policy timeline).
+///   [`TR_BLOCK_ONSET`](corpus_fixture::TR_BLOCK_ONSET)..[`TR_BLOCK_LIFT`](corpus_fixture::TR_BLOCK_LIFT) (policy timeline).
 /// * **An adaptive censor**: Russia watches the corpus' rank-0 domain
 ///   from day 0, escalates RST → DNS poison → IP block, and stands down
 ///   (reaction schedule, [`censor::adaptive::AdaptiveCensor`]).

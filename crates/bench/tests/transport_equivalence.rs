@@ -28,7 +28,7 @@
 
 use bench::specs::{BenchWorldSpec, SHARD_WORKER};
 use population::transport::{
-    sibling_worker, ProcessTransport, ShardTransport, ThreadTransport, TransportError, WorldSpec,
+    run_on_threads, sibling_worker, ProcessTransport, TransportError, WorldSpec,
 };
 use population::{ShardContext, WorldEngine};
 use sim_core::SimRng;
@@ -104,9 +104,7 @@ fn process_backend_matches_threads_at_2_and_8_shards() {
     let spec = spec();
     let process = process_transport();
     for shards in [2usize, 8] {
-        let threads_run = ThreadTransport
-            .run(&spec, shards, SEED)
-            .expect("thread transport runs");
+        let threads_run = run_on_threads(&spec, shards, SEED);
         let process_run = process
             .run(&spec, shards, SEED)
             .expect("process transport runs");

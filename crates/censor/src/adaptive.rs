@@ -4,7 +4,7 @@
 //! as long as they are installed. A real adversary *reacts*: §8 of the
 //! paper discusses censors that could notice Encore's cross-origin
 //! measurements and respond — throttling, poisoning, or "simply
-//! block[ing] the collection server". An [`AdaptiveCensor`] models that
+//! block\[ing\] the collection server". An [`AdaptiveCensor`] models that
 //! adversary as an escalation ladder of [`Stage`]s:
 //!
 //! | stage | behaviour |
@@ -38,7 +38,7 @@
 //! and a network's middleboxes are single-threaded by construction.
 //! Probabilistic stages draw from a deterministic key/time hash (like
 //! [`crate::policy::Mechanism::Throttle`]'s, plus a splitmix64
-//! finalizer — see [`unit_draw`]), so no RNG threads through the
+//! finalizer — see `unit_draw`), so no RNG threads through the
 //! middlebox trait and identical fetch streams see identical
 //! interference. Coverage ([`Middlebox::applies_to`]) depends only on
 //! the client's country and never on the stage — stage changes are

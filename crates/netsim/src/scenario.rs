@@ -210,7 +210,7 @@ impl NetworkScenario {
 /// lets *censored* (and otherwise intercepted) worlds ride inside a
 /// shard-shared scenario. A boxed [`Middlebox`] itself can never cross a
 /// thread boundary, but a factory of plain data can: each shard thread
-/// calls [`MiddleboxFactory::build`] against its own freshly built
+/// calls [`MiddleboxFactory::build_middlebox`] against its own freshly built
 /// network (so factories that compile rules against the network's DNS —
 /// e.g. a firewall resolving its IP blacklist — see an identical
 /// topology on every shard and compile identical rules).

@@ -24,21 +24,19 @@
 //!   arrivals, a persistent client pool whose transport sessions stay
 //!   warm across visits, and flat-memory aggregate reporting.
 //! * [`shard`] — the multi-core engine: a world recipe's control events
-//!   broadcast to every OS thread, its arrivals thinned 1/N, each shard
-//!   running one private event-driven world with a split RNG stream,
-//!   merged in shard order through the associative [`analytics::Merge`]
-//!   path so the parallel run is provably equivalent to the serial one.
+//!   broadcast to every shard, its arrivals thinned 1/N, each shard
+//!   running one private event-driven world with a split RNG stream.
+//!   One function runs a shard and one fold merges the outputs in shard
+//!   order through the associative [`analytics::Merge`] path, so the
+//!   parallel run is provably equivalent to the serial one.
 //! * [`analytics`] — the Google-Analytics-style report of §6.2, the
 //!   shared visit-outcome classification every driver tallies with, and
 //!   the single merge path ([`analytics::Merge`]) every sharded output
 //!   folds through.
-//! * [`reorder`] — the canonical reorder buffer: shard outputs fold in
-//!   *arrival* order while producing exactly the shard-index-order
-//!   merge, keeping coordinator memory O(1) folded aggregates.
-//! * [`transport`] — the distributed backends behind
-//!   [`transport::ShardTransport`]: in-process threads, or worker
+//! * [`transport`] — where the shards run, chosen by
+//!   [`transport::TransportKind`]: in-process threads, or worker
 //!   *processes* speaking the length-prefixed [`sim_core::frame`]
-//!   protocol over OS pipes with streaming incremental merge.
+//!   protocol over OS pipes. Both feed the same shard fold.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -47,7 +45,6 @@ pub mod analytics;
 pub mod audience;
 pub mod batch;
 pub mod driver;
-pub mod reorder;
 pub mod shard;
 pub mod transport;
 pub mod world;
@@ -59,13 +56,9 @@ pub use analytics::{
 pub use audience::Audience;
 pub use batch::{run_visit_batch, BatchConfig, BatchReport};
 pub use driver::{run_deployment, DeploymentConfig, VisitRecord};
-pub use reorder::ReorderBuffer;
-pub use shard::{
-    run_sharded_batch, run_sharded_world, shard_recipe, ShardContext, ShardedBatchConfig,
-    ShardedRun, ShardedWorldRun,
-};
+pub use shard::{run_sharded_world, shard_recipe, ShardContext, ShardedWorldRun};
 pub use transport::{
-    sibling_worker, worker_main, ProcessTransport, ShardTransport, ThreadTransport, TransportError,
-    TransportKind, TransportStats, WorldSpec,
+    run_on_threads, sibling_worker, worker_main, ProcessTransport, TransportError, TransportKind,
+    TransportStats, WorldSpec,
 };
 pub use world::{RunMode, StreamingSpec, WorldEngine, WorldEvent, WorldOutcome, WorldRecipe};

@@ -2,16 +2,18 @@
 //!
 //! One [`crate::world::WorldRecipe`] — arrivals *plus* the full control
 //! plane of a longitudinal run (policy timelines, mutations,
-//! re-prioritisations, maintenance, rollups) — executes across N OS
-//! threads the way large discrete-event simulators parallelise:
-//! **control events are broadcast** verbatim to every shard
-//! ([`shard_recipe`]), **workload events are partitioned** 1/N
-//! ([`shard_batch_config`] / [`shard_deployment_config`]), and per-shard
-//! outputs **merge deterministically** in shard order through the
-//! associative [`crate::analytics::Merge`] path. [`run_sharded_world`]
-//! is the general entry point; [`run_sharded_batch`] is the flat-batch
-//! wrapper over it. Each shard thread runs its own private world engine
-//! with
+//! re-prioritisations, maintenance, rollups) — executes across N shards
+//! the way large discrete-event simulators parallelise: **control
+//! events are broadcast** verbatim to every shard ([`shard_recipe`]),
+//! **workload events are partitioned** 1/N ([`shard_batch_config`] /
+//! [`shard_deployment_config`]), and per-shard outputs **merge
+//! deterministically** in shard order through the associative
+//! [`crate::analytics::Merge`] path. [`run_sharded_world`] is the entry
+//! point for OS threads; [`crate::transport`] runs the same shards in
+//! worker processes. Both backends share the two pieces that matter:
+//! one function runs a shard (build, thin, run, snapshot) and one fold
+//! merges shard outputs in index order. Each shard runs its own private
+//! world engine with
 //!
 //! * an **independent deterministic RNG stream** ([`SimRng::split`]:
 //!   disjoint 2^192-draw blocks *and* a re-keyed fork namespace, with
@@ -30,14 +32,13 @@
 //! Afterwards the per-shard outputs merge through associative APIs
 //! ([`BatchReport::merge`], [`CollectionSnapshot::merge`],
 //! [`GeoDb::merge`]) in shard-index order, so the merged run is
-//! byte-stable regardless of thread scheduling, and the §7.2 detector
-//! runs once over the union.
+//! byte-stable regardless of scheduling, and the §7.2 detector runs
+//! once over the union.
 
 use crate::analytics::Merge;
 use crate::audience::Audience;
 use crate::batch::{BatchConfig, BatchReport};
 use crate::driver::DeploymentConfig;
-use crate::reorder::ReorderBuffer;
 use crate::world::{RunMode, WorldEngine, WorldOutcome, WorldRecipe};
 use encore::collection::CollectionSnapshot;
 use encore::geo::GeoDb;
@@ -45,7 +46,6 @@ use encore::system::EncoreSystem;
 use netsim::network::Network;
 use serde::{Deserialize, Serialize};
 use sim_core::{SimDuration, SimRng};
-use std::sync::mpsc;
 use std::thread;
 
 /// Which slice of a sharded run a builder is materialising.
@@ -55,32 +55,6 @@ pub struct ShardContext {
     pub index: usize,
     /// Total shard count.
     pub shards: usize,
-}
-
-/// Configuration of a sharded batch run: the *total* workload, which the
-/// engine partitions across shards.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ShardedBatchConfig {
-    /// Number of shards (OS threads). Must be at least 1.
-    pub shards: usize,
-    /// The total batch: visits and pool size are divided across shards;
-    /// the arrival gap is multiplied by the shard count (Poisson
-    /// thinning), so the union covers the same simulated span at the
-    /// same aggregate rate as a serial run of this config.
-    pub batch: BatchConfig,
-}
-
-/// The merged outcome of a sharded run.
-#[derive(Debug, Clone)]
-pub struct ShardedRun {
-    /// Union of all shard reports ([`BatchReport::merge`]).
-    pub report: BatchReport,
-    /// Per-shard reports, in shard-index order.
-    pub per_shard: Vec<BatchReport>,
-    /// Union of all shard collection stores, in canonical order.
-    pub collection: CollectionSnapshot,
-    /// Union of all shard GeoIP databases (disjoint striped ranges).
-    pub geo: GeoDb,
 }
 
 /// The batch configuration shard `index` of `shards` actually runs:
@@ -169,7 +143,9 @@ pub fn shard_rngs(seed: u64, shards: usize) -> Vec<SimRng> {
     (0..shards).map(|_| root.split()).collect()
 }
 
-/// One shard's thread-portable output.
+/// One shard's output: what a thread hands back and what a worker
+/// process streams over the pipe.
+#[derive(Debug)]
 pub(crate) struct ShardOutput {
     pub(crate) outcome: WorldOutcome,
     pub(crate) collection: CollectionSnapshot,
@@ -177,13 +153,89 @@ pub(crate) struct ShardOutput {
 }
 
 impl Merge for ShardOutput {
-    /// Piecewise fold through each component's associative merge, so a
-    /// whole shard output can ride the streaming reorder buffer.
+    /// Piecewise fold through each component's associative merge.
     fn merge(self, other: ShardOutput) -> ShardOutput {
         ShardOutput {
             outcome: self.outcome.merge(other.outcome),
             collection: Merge::merge(self.collection, other.collection),
             geo: Merge::merge(self.geo, other.geo),
+        }
+    }
+}
+
+/// Run shard `ctx` of `recipe`: build its private world, replay
+/// [`shard_recipe`] on it with the shard's RNG stream, and snapshot the
+/// result. The thread backend calls this on each scoped thread, and a
+/// worker process calls it once; nothing else runs a shard.
+pub(crate) fn run_shard<F>(
+    build: &F,
+    audience: &Audience,
+    recipe: &WorldRecipe,
+    ctx: ShardContext,
+    mut rng: SimRng,
+) -> ShardOutput
+where
+    F: Fn(ShardContext) -> (Network, EncoreSystem),
+{
+    let (mut net, mut sys) = build(ctx);
+    let shard_cfg = shard_recipe(recipe, ctx.shards, ctx.index);
+    let outcome =
+        WorldEngine::from_recipe(&mut net, &mut sys, audience, &shard_cfg, &mut rng).run();
+    ShardOutput {
+        outcome,
+        collection: sys.collection.snapshot(),
+        geo: GeoDb::from_allocator(&net.allocator),
+    }
+}
+
+/// The coordinator fold both backends share: shard outputs pushed **in
+/// shard-index order** fold through [`ShardOutput`]'s associative
+/// [`Merge`], so the result is the same whichever backend produced them.
+pub(crate) struct ShardFold {
+    acc: Option<ShardOutput>,
+    per_shard: Vec<BatchReport>,
+    peak_resident: usize,
+}
+
+impl ShardFold {
+    /// An empty fold expecting `shards` outputs.
+    pub(crate) fn new(shards: usize) -> ShardFold {
+        ShardFold {
+            acc: None,
+            per_shard: Vec::with_capacity(shards),
+            peak_resident: 0,
+        }
+    }
+
+    /// Fold in the next shard's output.
+    pub(crate) fn push(&mut self, output: ShardOutput) {
+        // Resident while this shard folds: the accumulator (if any) plus
+        // the shard being folded — never more, whatever the shard count.
+        self.peak_resident = self.peak_resident.max(usize::from(self.acc.is_some()) + 1);
+        self.per_shard.push(output.outcome.report);
+        self.acc = Some(match self.acc.take() {
+            Some(acc) => acc.merge(output),
+            None => output,
+        });
+    }
+
+    /// Peak outcome-shaped aggregates resident at once so far.
+    pub(crate) fn peak_resident_outcomes(&self) -> usize {
+        self.peak_resident
+    }
+
+    /// The merged run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no shard was pushed — both backends run at least one.
+    pub(crate) fn finish(self) -> ShardedWorldRun {
+        let merged = self.acc.expect("a shard fold needs at least one shard");
+        ShardedWorldRun {
+            outcome: merged.outcome,
+            per_shard: self.per_shard,
+            collection: merged.collection,
+            geo: merged.geo,
         }
     }
 }
@@ -202,9 +254,8 @@ pub struct ShardedWorldRun {
     pub geo: GeoDb,
 }
 
-/// Execute one [`WorldRecipe`] across `shards` OS threads — the
-/// longitudinal, event-driven counterpart of [`run_sharded_batch`], and
-/// the engine both drivers now share.
+/// Execute one [`WorldRecipe`] across `shards` OS threads. A flat batch
+/// run is the recipe [`WorldRecipe::batch`].
 ///
 /// `build` is called once per shard, *on that shard's thread*, and must
 /// return a freshly built `Network` + deployed `EncoreSystem` for the
@@ -221,9 +272,9 @@ pub struct ShardedWorldRun {
 /// **broadcast** verbatim to every shard, arrival events are **thinned**
 /// 1/N, and the per-shard RNG streams come from [`shard_rngs`]
 /// (`SimRng::split` / `long_jump`, shard 0 reproducing the serial stream
-/// exactly). Per-shard outcomes then merge **in shard-index order**
-/// through the associative [`crate::analytics::Merge`] path, so the
-/// result is deterministic in `(seed, recipe, shards, scenario)` no
+/// exactly). The threads are joined in shard-index order and each output
+/// folds through the associative [`crate::analytics::Merge`] path, so
+/// the result is deterministic in `(seed, recipe, shards, scenario)` no
 /// matter how the threads were scheduled — and at `shards == 1` it is
 /// byte-identical to `WorldEngine::from_recipe(..).run()` on the same
 /// recipe (`tests/world_shard_equivalence.rs`).
@@ -238,86 +289,25 @@ where
     F: Fn(ShardContext) -> (Network, EncoreSystem) + Sync,
 {
     assert!(shards >= 1, "shard count must be at least 1");
-    let rngs = shard_rngs(seed, shards);
-
-    // Streaming merge: shard outputs fold in *arrival* order through a
-    // canonical reorder buffer on this (coordinator) thread, so resident
-    // state is one folded aggregate per discontiguous completion run —
-    // O(1) in the common case — instead of one buffered output per
-    // shard. Associativity of the `Merge` path (simcheck's merge-algebra
-    // oracle; `reorder` property tests) guarantees the result is exactly
-    // the shard-index-order fold the old collect-then-merge path
-    // computed.
-    let (tx, rx) = mpsc::channel::<(usize, ShardOutput)>();
-    let (merged, mut per_shard) = thread::scope(|scope| {
-        for (index, mut rng) in rngs.into_iter().enumerate() {
-            let tx = tx.clone();
-            scope.spawn(move || {
+    let mut fold = ShardFold::new(shards);
+    thread::scope(|scope| {
+        let handles: Vec<_> = shard_rngs(seed, shards)
+            .into_iter()
+            .enumerate()
+            .map(|(index, rng)| {
                 let ctx = ShardContext { index, shards };
-                let (mut net, mut sys) = build(ctx);
-                let shard_cfg = shard_recipe(recipe, shards, index);
-                let outcome =
-                    WorldEngine::from_recipe(&mut net, &mut sys, audience, &shard_cfg, &mut rng)
-                        .run();
-                let output = ShardOutput {
-                    outcome,
-                    collection: sys.collection.snapshot(),
-                    geo: GeoDb::from_allocator(&net.allocator),
-                };
-                // A disconnected receiver means the coordinator already
-                // gave up (a sibling panicked); nothing left to report.
-                let _ = tx.send((index, output));
-            });
+                scope.spawn(move || run_shard(build, audience, recipe, ctx, rng))
+            })
+            .collect();
+        for handle in handles {
+            match handle.join() {
+                Ok(output) => fold.push(output),
+                // Re-raise the shard's own panic, message intact.
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
         }
-        drop(tx);
-
-        let mut buffer: ReorderBuffer<ShardOutput> = ReorderBuffer::new(shards);
-        let mut per_shard: Vec<(usize, BatchReport)> = Vec::with_capacity(shards);
-        for (index, output) in rx {
-            per_shard.push((index, output.outcome.report));
-            buffer.accept(index, output);
-        }
-        (buffer.finish(), per_shard)
     });
-    // A missing output means a shard thread panicked before sending;
-    // `thread::scope` re-raises that panic on join, so this expect is
-    // only reachable on a double-fault — keep the old message for it.
-    let merged = merged.expect("shard thread panicked");
-
-    per_shard.sort_by_key(|&(index, _)| index);
-    ShardedWorldRun {
-        outcome: merged.outcome,
-        per_shard: per_shard.into_iter().map(|(_, report)| report).collect(),
-        collection: merged.collection,
-        geo: merged.geo,
-    }
-}
-
-/// Run `config.batch` visits against the scenario, partitioned across
-/// `config.shards` OS threads.
-///
-/// Since the sharded-world refactor this is a thin wrapper over
-/// [`run_sharded_world`] with a control-free batch recipe — one engine,
-/// two entry points. The output is bit-identical to the pre-refactor
-/// runner (the golden merged-report snapshot in
-/// `tests/shard_equivalence.rs` pins this).
-pub fn run_sharded_batch<F>(
-    build: &F,
-    audience: &Audience,
-    config: &ShardedBatchConfig,
-    seed: u64,
-) -> ShardedRun
-where
-    F: Fn(ShardContext) -> (Network, EncoreSystem) + Sync,
-{
-    let recipe = WorldRecipe::batch(config.batch);
-    let run = run_sharded_world(build, audience, &recipe, config.shards, seed);
-    ShardedRun {
-        report: run.outcome.report,
-        per_shard: run.per_shard,
-        collection: run.collection,
-        geo: run.geo,
-    }
+    fold.finish()
 }
 
 #[cfg(test)]
@@ -396,21 +386,24 @@ mod tests {
         );
     }
 
+    /// A flat batch of `visits` over `shards` threads.
+    fn run_batch(visits: u64, shards: usize, seed: u64) -> ShardedWorldRun {
+        let recipe = WorldRecipe::batch(BatchConfig {
+            visits,
+            ..BatchConfig::default()
+        });
+        run_sharded_world(&build, &Audience::academic(), &recipe, shards, seed)
+    }
+
     #[test]
     fn sharded_run_produces_merged_measurements() {
-        let config = ShardedBatchConfig {
-            shards: 2,
-            batch: BatchConfig {
-                visits: 1_000,
-                ..BatchConfig::default()
-            },
-        };
-        let run = run_sharded_batch(&build, &Audience::academic(), &config, 0x5A4D);
-        assert_eq!(run.report.visits, 1_000);
+        let run = run_batch(1_000, 2, 0x5A4D);
+        let report = run.outcome.report;
+        assert_eq!(report.visits, 1_000);
         assert_eq!(run.per_shard.len(), 2);
         assert_eq!(run.per_shard[0].visits, 500);
         assert_eq!(run.per_shard[1].visits, 500);
-        assert!(run.report.results_delivered > 100, "{:?}", run.report);
+        assert!(report.results_delivered > 100, "{report:?}");
         assert!(!run.collection.is_empty());
         // Every record geolocates through the merged striped database.
         let located = run
@@ -424,30 +417,16 @@ mod tests {
 
     #[test]
     fn sharded_run_is_reproducible() {
-        let config = ShardedBatchConfig {
-            shards: 3,
-            batch: BatchConfig {
-                visits: 300,
-                ..BatchConfig::default()
-            },
-        };
-        let go = || run_sharded_batch(&build, &Audience::academic(), &config, 77);
+        let go = || run_batch(300, 3, 77);
         let (a, b) = (go(), go());
-        assert_eq!(a.report, b.report);
+        assert_eq!(a.outcome, b.outcome);
         assert_eq!(a.collection, b.collection);
         assert_eq!(a.per_shard, b.per_shard);
     }
 
     #[test]
     fn shards_see_different_streams() {
-        let config = ShardedBatchConfig {
-            shards: 2,
-            batch: BatchConfig {
-                visits: 400,
-                ..BatchConfig::default()
-            },
-        };
-        let run = run_sharded_batch(&build, &Audience::academic(), &config, 3);
+        let run = run_batch(400, 2, 3);
         assert_ne!(
             run.per_shard[0], run.per_shard[1],
             "shards replayed the same stream"
@@ -457,10 +436,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 1")]
     fn zero_shards_rejected() {
-        let config = ShardedBatchConfig {
-            shards: 0,
-            batch: BatchConfig::default(),
-        };
-        let _ = run_sharded_batch(&build, &Audience::academic(), &config, 1);
+        let _ = run_batch(10, 0, 1);
     }
 }

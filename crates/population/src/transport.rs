@@ -1,20 +1,26 @@
-//! Distributed shard backends: one trait, two transports.
+//! Distributed shard backends: threads or worker processes, one fold.
 //!
-//! [`ShardTransport`] abstracts *where* a sharded world's shards run:
+//! [`TransportKind`] picks *where* a sharded world's shards run:
 //!
-//! * [`ThreadTransport`] — today's OS threads in this process,
-//!   zero-copy, delegating to [`crate::shard::run_sharded_world`];
-//!   byte-identical to calling that function directly.
-//! * [`ProcessTransport`] — worker **processes** connected by OS pipes
-//!   speaking the length-prefixed, checksummed [`sim_core::frame`]
-//!   protocol. The coordinator serializes the [`WorldSpec`] **once**
-//!   and broadcasts the same frame bytes to every worker (control
-//!   traffic rides the same framed channel as data); each worker
-//!   rebuilds its private world from the spec, runs its shard, and
-//!   streams its output back **incrementally** in bounded chunks that
-//!   fold through the associative [`crate::analytics::Merge`] path as
-//!   frames arrive — coordinator peak memory is O(1 merged outcome),
-//!   not O(shards × outcome).
+//! * [`TransportKind::Threads`] — OS threads in this process
+//!   ([`run_on_threads`], a thin call into
+//!   [`crate::shard::run_sharded_world`]); outputs are handed over as
+//!   owned values, with no encode step.
+//! * [`TransportKind::Process`] — worker **processes** ([`ProcessTransport`])
+//!   connected by OS pipes speaking the length-prefixed, checksummed
+//!   [`sim_core::frame`] protocol. The coordinator serializes the
+//!   [`WorldSpec`] **once** and broadcasts the same frame bytes to every
+//!   worker (control traffic rides the same framed channel as data);
+//!   each worker rebuilds its private world from the spec, runs its
+//!   shard, and streams its output back in bounded chunks.
+//!
+//! Both backends run a shard with the same function and merge shard
+//! outputs with the same coordinator fold (`crate::shard`); they differ
+//! only in where an output comes from. Threads hand it over whole; the
+//! process coordinator reads it back frame by frame, appending each
+//! shard's contiguous chunks into exactly the vectors the worker cut
+//! them from, then pushes it into the fold. Coordinator peak memory is
+//! the running accumulator plus one shard, not O(shards × outcome).
 //!
 //! Closures never cross the process boundary: a [`WorldSpec`] is a
 //! compact serializable *description* (fixture name + parameters, or a
@@ -42,9 +48,13 @@
 //! analytics — count-min sketch, reservoir sample, closed-window count
 //! matrices, drop counters — crosses as **one** bounded SKETCH frame
 //! whose size is fixed by the [`encore::streaming::StreamingConfig`],
-//! not by traffic volume. SKETCH frames fold into the per-shard partial
-//! like any data frame, so the coordinator still holds at most the
-//! running accumulator plus one shard's partial.
+//! not by traffic volume. A SKETCH frame folds into the shard being
+//! read like any data frame, so the coordinator still holds at most the
+//! running accumulator plus one shard.
+//!
+//! The coordinator always asks for [`DEFAULT_CHUNK`]-record chunks under
+//! a [`DEFAULT_WINDOW`] credit window; the JOB frame carries both so a
+//! worker driven in-process can be made to cut smaller chunks.
 //!
 //! **Backpressure:** a worker may have at most `window` unacknowledged
 //! data frames in flight; past that it blocks until the coordinator
@@ -54,14 +64,17 @@
 //! path — never a panic), and the coordinator kills the remaining
 //! workers before returning.
 
-use crate::analytics::{Merge, StreamSummary};
+use crate::analytics::{RollupSeries, StreamSummary};
 use crate::audience::Audience;
 use crate::batch::BatchReport;
 use crate::driver::VisitRecord;
-use crate::shard::{run_sharded_world, shard_recipe, shard_rngs, ShardContext, ShardedWorldRun};
-use crate::world::{WorldEngine, WorldOutcome, WorldRecipe};
+use crate::shard::{
+    run_shard, run_sharded_world, shard_rngs, ShardContext, ShardFold, ShardOutput, ShardedWorldRun,
+};
+use crate::world::{WorldOutcome, WorldRecipe};
 use encore::collection::{CollectionSnapshot, StoredMeasurement};
 use encore::geo::GeoDb;
+use encore::streaming::StreamingStats;
 use encore::system::EncoreSystem;
 use netsim::network::Network;
 use serde::{Deserialize, Serialize};
@@ -119,7 +132,7 @@ pub trait WorldSpec: Serialize + Deserialize + Send + Sync {
     /// The audience every shard samples visitors from.
     fn audience(&self) -> Audience;
     /// The *total* (unsharded) recipe; each shard runs
-    /// [`shard_recipe`]\(recipe, shards, index\).
+    /// [`crate::shard::shard_recipe`]\(recipe, shards, index\).
     fn recipe(&self) -> WorldRecipe;
     /// Build this shard's private network + deployed Encore system.
     fn build(&self, ctx: ShardContext) -> (Network, EncoreSystem);
@@ -271,7 +284,7 @@ impl fmt::Display for TransportKind {
 impl TransportKind {
     /// Run `spec` on this backend: threads in-process, or worker
     /// processes resolved from `worker` (a sibling-binary name, see
-    /// [`sibling_worker`]).
+    /// [`sibling_worker`]). Only the process backend can fail.
     pub fn run<S: WorldSpec>(
         self,
         worker: &str,
@@ -280,48 +293,22 @@ impl TransportKind {
         seed: u64,
     ) -> Result<ShardedWorldRun, TransportError> {
         match self {
-            TransportKind::Threads => ThreadTransport.run(spec, shards, seed),
+            TransportKind::Threads => Ok(run_on_threads(spec, shards, seed)),
             TransportKind::Process => ProcessTransport::for_worker(worker)?.run(spec, shards, seed),
         }
     }
 }
 
-/// A backend that can execute a [`WorldSpec`] across shards.
-pub trait ShardTransport {
-    /// Execute `spec` over `shards` shards from root `seed`, returning
-    /// the merged run. Both backends must produce byte-identical
-    /// results for the same inputs.
-    fn run<S: WorldSpec>(
-        &self,
-        spec: &S,
-        shards: usize,
-        seed: u64,
-    ) -> Result<ShardedWorldRun, TransportError>;
-}
-
-/// The in-process backend: today's scoped OS threads, delegating to
-/// [`run_sharded_world`]. Never fails; the `Result` exists only to
-/// satisfy the shared trait signature.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ThreadTransport;
-
-impl ShardTransport for ThreadTransport {
-    fn run<S: WorldSpec>(
-        &self,
-        spec: &S,
-        shards: usize,
-        seed: u64,
-    ) -> Result<ShardedWorldRun, TransportError> {
-        let audience = spec.audience();
-        let recipe = spec.recipe();
-        Ok(run_sharded_world(
-            &|ctx| spec.build(ctx),
-            &audience,
-            &recipe,
-            shards,
-            seed,
-        ))
-    }
+/// Run `spec` across `shards` OS threads in this process — the same
+/// shards, fold and result as the process backend, with no encode step.
+pub fn run_on_threads<S: WorldSpec>(spec: &S, shards: usize, seed: u64) -> ShardedWorldRun {
+    run_sharded_world(
+        &|ctx| spec.build(ctx),
+        &spec.audience(),
+        &spec.recipe(),
+        shards,
+        seed,
+    )
 }
 
 /// Deterministic streaming counters from one [`ProcessTransport`] run —
@@ -340,11 +327,25 @@ pub struct TransportStats {
     /// have in flight (protocol-enforced bound on coordinator buffering).
     pub window: usize,
     /// Peak outcome-shaped aggregates simultaneously resident on the
-    /// coordinator: the running accumulator plus at most the partial
-    /// fold of the one shard currently being drained — the O(1)
-    /// streaming-merge guarantee, independent of shard count.
-    /// (In-flight chunks are bounded separately, by [`Self::window`].)
+    /// coordinator: the running accumulator plus at most the one shard
+    /// currently being read — the O(1) streaming-merge guarantee,
+    /// independent of shard count. (In-flight chunks are bounded
+    /// separately, by [`Self::window`].)
     pub peak_resident_outcomes: usize,
+}
+
+impl TransportStats {
+    /// Zeroed counters for a run over `shards` workers.
+    fn new(shards: usize) -> TransportStats {
+        TransportStats {
+            shards,
+            data_frames: 0,
+            streamed_payload_bytes: 0,
+            largest_payload_bytes: 0,
+            window: DEFAULT_WINDOW,
+            peak_resident_outcomes: 0,
+        }
+    }
 }
 
 /// The multi-process backend: spawns one worker per shard, broadcasts
@@ -353,20 +354,12 @@ pub struct TransportStats {
 #[derive(Debug, Clone)]
 pub struct ProcessTransport {
     worker: PathBuf,
-    chunk: usize,
-    window: usize,
-    max_payload: u32,
 }
 
 impl ProcessTransport {
-    /// A process transport spawning `worker` with default chunking.
+    /// A process transport spawning `worker`.
     pub fn new(worker: PathBuf) -> ProcessTransport {
-        ProcessTransport {
-            worker,
-            chunk: DEFAULT_CHUNK,
-            window: DEFAULT_WINDOW,
-            max_payload: DEFAULT_MAX_PAYLOAD,
-        }
+        ProcessTransport { worker }
     }
 
     /// Resolve `name` via [`sibling_worker`] and build a transport on it.
@@ -380,21 +373,20 @@ impl ProcessTransport {
         Ok(ProcessTransport::new(path))
     }
 
-    /// Override records-per-frame chunking (min 1).
-    pub fn with_chunk(mut self, chunk: usize) -> ProcessTransport {
-        self.chunk = chunk.max(1);
-        self
-    }
-
-    /// Override the credit window (min 1).
-    pub fn with_window(mut self, window: usize) -> ProcessTransport {
-        self.window = window.max(1);
-        self
-    }
-
     /// The worker binary this transport spawns.
     pub fn worker(&self) -> &PathBuf {
         &self.worker
+    }
+
+    /// Execute `spec` over `shards` worker processes from root `seed`,
+    /// returning the merged run — byte-identical to [`run_on_threads`].
+    pub fn run<S: WorldSpec>(
+        &self,
+        spec: &S,
+        shards: usize,
+        seed: u64,
+    ) -> Result<ShardedWorldRun, TransportError> {
+        self.run_with_stats(spec, shards, seed).map(|(run, _)| run)
     }
 
     /// Run and also return the deterministic streaming counters.
@@ -406,7 +398,7 @@ impl ProcessTransport {
     ) -> Result<(ShardedWorldRun, TransportStats), TransportError> {
         assert!(shards >= 1, "shard count must be at least 1");
         let mut children = self.spawn_workers(spec, shards, seed)?;
-        let result = self.drain(&mut children, shards);
+        let result = drain(&mut children);
         if result.is_err() {
             // Clean failure path: no orphans, no zombies.
             for child in &mut children {
@@ -451,8 +443,8 @@ impl ProcessTransport {
                 index,
                 shards,
                 seed,
-                chunk: self.chunk,
-                window: self.window,
+                chunk: DEFAULT_CHUNK,
+                window: DEFAULT_WINDOW,
             };
             let handoff = (|| -> Result<(), TransportError> {
                 let stdin = child.stdin.as_mut().expect("stdin piped at spawn");
@@ -483,205 +475,130 @@ impl ProcessTransport {
         }
         Ok(children)
     }
-
-    /// Drain every worker's stream in shard order, folding each frame
-    /// into the running aggregates the moment it arrives.
-    fn drain(
-        &self,
-        children: &mut [Child],
-        shards: usize,
-    ) -> Result<(ShardedWorldRun, TransportStats), TransportError> {
-        let mut stats = TransportStats {
-            shards,
-            data_frames: 0,
-            streamed_payload_bytes: 0,
-            largest_payload_bytes: 0,
-            window: self.window,
-            peak_resident_outcomes: 0,
-        };
-        // O(1) resident state: one running fold of everything drained
-        // so far, plus the partial fold of the shard currently being
-        // drained. Chunks fold into the *shard* partial as they arrive
-        // (each fold walks at most one shard's outcome, never the
-        // global accumulator), and each completed shard folds exactly
-        // once into the running merge — so the total merge work is the
-        // same O(shards × data) as merging whole shard outcomes, not
-        // quadratic in the chunk count. Workers are drained in shard
-        // order and each worker streams its chunks in time order, so by
-        // associativity this grouped fold equals the
-        // shard-index-order whole-outcome merge (the stable
-        // `merge_time_ordered` keeps earlier-folded records ahead of
-        // later ones at equal timestamps, exactly like merging whole
-        // shard outcomes in index order).
-        let mut outcome_acc: Option<WorldOutcome> = None;
-        let mut collection_acc = CollectionSnapshot::default();
-        let mut geo_acc: Option<GeoDb> = None;
-        let mut per_shard: Vec<BatchReport> = Vec::with_capacity(shards);
-
-        for (shard, child) in children.iter_mut().enumerate() {
-            let mut shard_outcome: Option<WorldOutcome> = None;
-            let mut shard_collection = CollectionSnapshot::default();
-            let mut stdout =
-                io::BufReader::new(child.stdout.take().expect("stdout piped at spawn"));
-            loop {
-                let frame = match read_frame(&mut stdout, self.max_payload) {
-                    Ok(Some(frame)) => frame,
-                    Ok(None) => {
-                        // EOF before FINAL: the worker died. Report its
-                        // exit status instead of panicking.
-                        let detail = match child.wait() {
-                            Ok(status) => status.to_string(),
-                            Err(err) => format!("unwaitable: {err}"),
-                        };
-                        return Err(TransportError::WorkerExit { shard, detail });
-                    }
-                    Err(error) => {
-                        return Err(TransportError::Frame {
-                            context: format!("reading from shard {shard}"),
-                            error,
-                        })
-                    }
-                };
-                let payload_len = frame.payload.len() as u64;
-                match frame.kind {
-                    KIND_LOG_CHUNK => {
-                        let log: Vec<VisitRecord> = decode_payload(&frame.payload, "log chunk")?;
-                        let partial = WorldOutcome {
-                            log,
-                            report: BatchReport::default(),
-                            rollups: crate::analytics::RollupSeries::default(),
-                            policy_changes_applied: 0,
-                            control_signals_applied: 0,
-                            streaming: None,
-                        };
-                        stats.peak_resident_outcomes = stats
-                            .peak_resident_outcomes
-                            .max(usize::from(outcome_acc.is_some()) + 1);
-                        shard_outcome = Some(match shard_outcome.take() {
-                            Some(acc) => acc.merge(partial),
-                            None => partial,
-                        });
-                        stats.data_frames += 1;
-                        stats.streamed_payload_bytes += payload_len;
-                        stats.largest_payload_bytes = stats.largest_payload_bytes.max(payload_len);
-                        ack(child, shard);
-                    }
-                    KIND_RECORD_CHUNK => {
-                        let records: Vec<StoredMeasurement> =
-                            decode_payload(&frame.payload, "record chunk")?;
-                        shard_collection = shard_collection.merge_owned(CollectionSnapshot {
-                            records,
-                            malformed: 0,
-                            streaming: None,
-                        });
-                        stats.data_frames += 1;
-                        stats.streamed_payload_bytes += payload_len;
-                        stats.largest_payload_bytes = stats.largest_payload_bytes.max(payload_len);
-                        ack(child, shard);
-                    }
-                    KIND_SKETCH => {
-                        let sketch: encore::streaming::StreamingStats =
-                            decode_payload(&frame.payload, "sketch")?;
-                        shard_collection = shard_collection.merge_owned(CollectionSnapshot {
-                            records: Vec::new(),
-                            malformed: 0,
-                            streaming: Some(sketch),
-                        });
-                        stats.data_frames += 1;
-                        stats.streamed_payload_bytes += payload_len;
-                        stats.largest_payload_bytes = stats.largest_payload_bytes.max(payload_len);
-                        ack(child, shard);
-                    }
-                    KIND_FINAL => {
-                        let fin: FinalPayload = decode_payload(&frame.payload, "final")?;
-                        per_shard.push(fin.report);
-                        let partial = WorldOutcome {
-                            log: Vec::new(),
-                            report: fin.report,
-                            rollups: crate::analytics::RollupSeries(fin.rollups),
-                            policy_changes_applied: fin.policy_changes_applied,
-                            control_signals_applied: fin.control_signals_applied,
-                            streaming: fin.streaming,
-                        };
-                        stats.peak_resident_outcomes = stats
-                            .peak_resident_outcomes
-                            .max(usize::from(outcome_acc.is_some()) + 1);
-                        let completed = match shard_outcome.take() {
-                            Some(acc) => acc.merge(partial),
-                            None => partial,
-                        };
-                        outcome_acc = Some(match outcome_acc.take() {
-                            Some(acc) => acc.merge(completed),
-                            None => completed,
-                        });
-                        shard_collection.malformed += fin.malformed;
-                        collection_acc =
-                            collection_acc.merge_owned(std::mem::take(&mut shard_collection));
-                        geo_acc = Some(match geo_acc.take() {
-                            Some(acc) => Merge::merge(acc, fin.geo),
-                            None => fin.geo,
-                        });
-                        break;
-                    }
-                    KIND_ERROR => {
-                        return Err(TransportError::Worker {
-                            shard,
-                            detail: String::from_utf8_lossy(&frame.payload).into_owned(),
-                        })
-                    }
-                    other => {
-                        return Err(TransportError::Protocol(format!(
-                            "unexpected frame kind {other} from shard {shard}"
-                        )))
-                    }
-                }
-            }
-            // Stream complete: release the worker and insist on a clean
-            // exit.
-            drop(child.stdin.take());
-            match child.wait() {
-                Ok(status) if status.success() => {}
-                Ok(status) => {
-                    return Err(TransportError::WorkerExit {
-                        shard,
-                        detail: format!("after FINAL: {status}"),
-                    })
-                }
-                Err(err) => {
-                    return Err(TransportError::WorkerExit {
-                        shard,
-                        detail: format!("unwaitable: {err}"),
-                    })
-                }
-            }
-        }
-
-        let outcome = outcome_acc.ok_or_else(|| {
-            TransportError::Protocol("no shard produced a FINAL frame".to_string())
-        })?;
-        let geo = geo_acc.ok_or_else(|| {
-            TransportError::Protocol("no shard produced a geo database".to_string())
-        })?;
-        Ok((
-            ShardedWorldRun {
-                outcome,
-                per_shard,
-                collection: collection_acc,
-                geo,
-            },
-            stats,
-        ))
-    }
 }
 
-impl ShardTransport for ProcessTransport {
-    fn run<S: WorldSpec>(
-        &self,
-        spec: &S,
-        shards: usize,
-        seed: u64,
-    ) -> Result<ShardedWorldRun, TransportError> {
-        self.run_with_stats(spec, shards, seed).map(|(run, _)| run)
+/// Read every worker's stream in shard order and push each shard into
+/// the shared fold: it sees exactly the outputs the thread backend
+/// pushes, in the same order.
+fn drain(children: &mut [Child]) -> Result<(ShardedWorldRun, TransportStats), TransportError> {
+    let mut stats = TransportStats::new(children.len());
+    let mut fold = ShardFold::new(children.len());
+    for (shard, child) in children.iter_mut().enumerate() {
+        let mut frames = io::BufReader::new(child.stdout.take().expect("stdout piped at spawn"));
+        let acks = child.stdin.as_mut().expect("stdin piped at spawn");
+        let output = match read_shard(&mut frames, acks, shard, &mut stats) {
+            Ok(output) => output,
+            // EOF before FINAL: the worker died. Report its exit status
+            // instead of panicking.
+            Err(TransportError::WorkerExit { .. }) => {
+                let detail = match child.wait() {
+                    Ok(status) => status.to_string(),
+                    Err(err) => format!("unwaitable: {err}"),
+                };
+                return Err(TransportError::WorkerExit { shard, detail });
+            }
+            Err(err) => return Err(err),
+        };
+        // Stream complete: release the worker and insist on a clean
+        // exit.
+        drop(child.stdin.take());
+        match child.wait() {
+            Ok(status) if status.success() => {}
+            Ok(status) => {
+                return Err(TransportError::WorkerExit {
+                    shard,
+                    detail: format!("after FINAL: {status}"),
+                })
+            }
+            Err(err) => {
+                return Err(TransportError::WorkerExit {
+                    shard,
+                    detail: format!("unwaitable: {err}"),
+                })
+            }
+        }
+        fold.push(output);
+    }
+    stats.peak_resident_outcomes = fold.peak_resident_outcomes();
+    Ok((fold.finish(), stats))
+}
+
+/// Decode one shard's stream, from its first data frame through FINAL,
+/// acknowledging each data frame on `acks`. LOG and RECORD chunks are
+/// contiguous slices of the worker's vectors, so appending them
+/// rebuilds exactly the output the worker ran; SKETCH frames fold.
+///
+/// A stream that ends before FINAL gives [`TransportError::WorkerExit`]
+/// (the caller fills in the exit status); an ERROR frame gives
+/// [`TransportError::Worker`]; any other kind gives
+/// [`TransportError::Protocol`].
+fn read_shard<R: Read, W: Write>(
+    frames: &mut R,
+    acks: &mut W,
+    shard: usize,
+    stats: &mut TransportStats,
+) -> Result<ShardOutput, TransportError> {
+    let mut log: Vec<VisitRecord> = Vec::new();
+    let mut records: Vec<StoredMeasurement> = Vec::new();
+    let mut sketch: Option<StreamingStats> = None;
+    loop {
+        let frame = read_frame(frames, DEFAULT_MAX_PAYLOAD)
+            .map_err(|error| TransportError::Frame {
+                context: format!("reading from shard {shard}"),
+                error,
+            })?
+            .ok_or_else(|| TransportError::WorkerExit {
+                shard,
+                detail: "stream ended before FINAL".to_string(),
+            })?;
+        match frame.kind {
+            KIND_LOG_CHUNK => log.append(&mut decode_payload(&frame.payload, "log chunk")?),
+            KIND_RECORD_CHUNK => {
+                records.append(&mut decode_payload(&frame.payload, "record chunk")?)
+            }
+            KIND_SKETCH => {
+                let next: StreamingStats = decode_payload(&frame.payload, "sketch")?;
+                match &mut sketch {
+                    Some(acc) => acc.merge(next),
+                    None => sketch = Some(next),
+                }
+            }
+            KIND_FINAL => {
+                let fin: FinalPayload = decode_payload(&frame.payload, "final")?;
+                return Ok(ShardOutput {
+                    outcome: WorldOutcome {
+                        log,
+                        report: fin.report,
+                        rollups: RollupSeries(fin.rollups),
+                        policy_changes_applied: fin.policy_changes_applied,
+                        control_signals_applied: fin.control_signals_applied,
+                        streaming: fin.streaming,
+                    },
+                    collection: CollectionSnapshot {
+                        records,
+                        malformed: fin.malformed,
+                        streaming: sketch,
+                    },
+                    geo: fin.geo,
+                });
+            }
+            KIND_ERROR => {
+                return Err(TransportError::Worker {
+                    shard,
+                    detail: String::from_utf8_lossy(&frame.payload).into_owned(),
+                })
+            }
+            other => {
+                return Err(TransportError::Protocol(format!(
+                    "unexpected frame kind {other} from shard {shard}"
+                )))
+            }
+        }
+        let payload_len = frame.payload.len() as u64;
+        stats.data_frames += 1;
+        stats.streamed_payload_bytes += payload_len;
+        stats.largest_payload_bytes = stats.largest_payload_bytes.max(payload_len);
+        ack(acks);
     }
 }
 
@@ -690,11 +607,9 @@ impl ShardTransport for ProcessTransport {
 /// already finished (sent FINAL and exited, so the last few credits go
 /// unread) or already died (which the read path reports with full
 /// context).
-fn ack(child: &mut Child, _shard: usize) {
-    if let Some(stdin) = child.stdin.as_mut() {
-        let _ = write_frame(stdin, KIND_ACK, &[]);
-        let _ = stdin.flush();
-    }
+fn ack<W: Write>(acks: &mut W) {
+    let _ = write_frame(acks, KIND_ACK, &[]);
+    let _ = acks.flush();
 }
 
 fn io_err(shard: usize, action: &str, err: &io::Error) -> TransportError {
@@ -801,21 +716,25 @@ pub fn run_worker<S: WorldSpec, R: Read, W: Write>(
         )));
     }
 
-    let audience = spec.audience();
     let ctx = ShardContext {
         index: job.index,
         shards: job.shards,
     };
-    let (mut net, mut sys) = spec.build(ctx);
-    let shard_cfg = shard_recipe(&spec.recipe(), job.shards, job.index);
-    let mut rng = shard_rngs(job.seed, job.shards)
+    let rng = shard_rngs(job.seed, job.shards)
         .into_iter()
         .nth(job.index)
         .expect("index validated above");
-    let outcome =
-        WorldEngine::from_recipe(&mut net, &mut sys, &audience, &shard_cfg, &mut rng).run();
-    let mut collection = sys.collection.snapshot();
-    let geo = GeoDb::from_allocator(&net.allocator);
+    let ShardOutput {
+        outcome,
+        mut collection,
+        geo,
+    } = run_shard(
+        &|ctx| spec.build(ctx),
+        &spec.audience(),
+        &spec.recipe(),
+        ctx,
+        rng,
+    );
 
     let chunk = job.chunk.max(1);
     let mut sender = CreditedSender {
@@ -986,110 +905,89 @@ mod tests {
     #[test]
     fn thread_transport_matches_run_sharded_world() {
         let spec = TinySpec::exact(300);
-        let via_trait = ThreadTransport.run(&spec, 2, 41).expect("threads run");
+        let via_kind = TransportKind::Threads
+            .run("unused-by-threads", &spec, 2, 41)
+            .expect("threads never fail");
         let audience = spec.audience();
         let recipe = spec.recipe();
         let direct = run_sharded_world(&|ctx| spec.build(ctx), &audience, &recipe, 2, 41);
-        assert_eq!(via_trait.outcome, direct.outcome);
-        assert_eq!(via_trait.collection, direct.collection);
-        assert_eq!(via_trait.per_shard, direct.per_shard);
+        assert_eq!(via_kind.outcome, direct.outcome);
+        assert_eq!(via_kind.collection, direct.collection);
+        assert_eq!(via_kind.per_shard, direct.per_shard);
     }
 
-    /// Drive the worker protocol entirely in-process: the "coordinator"
-    /// side here is a scripted byte buffer (window large enough that no
-    /// credits are needed), and the worker's streamed frames fold back
-    /// through the same partial-outcome path `ProcessTransport` uses.
-    #[test]
-    fn in_process_worker_stream_folds_to_thread_result() {
-        let spec = TinySpec::exact(240);
-        let (shards, seed) = (2usize, 97u64);
+    /// Run worker `index` of `shards` in-process over a scripted
+    /// handshake (`chunk` records per data frame, a window large enough
+    /// that no credits are needed) and return the bytes it wrote.
+    fn worker_wire(spec: &TinySpec, index: usize, shards: usize, seed: u64) -> Vec<u8> {
+        let mut script = Vec::new();
+        write_frame(&mut script, KIND_SPEC, &encode_payload(spec).unwrap()).unwrap();
+        let job = WorkerJob {
+            index,
+            shards,
+            seed,
+            chunk: 7,
+            window: usize::MAX,
+        };
+        write_frame(&mut script, KIND_JOB, &encode_payload(&job).unwrap()).unwrap();
+        let mut input: &[u8] = &script;
+        let mut wire = Vec::new();
+        run_worker::<TinySpec, _, _>(&mut input, &mut wire).expect("worker runs");
+        wire
+    }
 
-        let expected = ThreadTransport.run(&spec, shards, seed).expect("threads");
-
-        let mut outcome_acc: Option<WorldOutcome> = None;
-        let mut collection_acc = CollectionSnapshot::default();
-        let mut per_shard = Vec::new();
-        for index in 0..shards {
-            let mut script = Vec::new();
-            write_frame(&mut script, KIND_SPEC, &encode_payload(&spec).unwrap()).unwrap();
-            let job = WorkerJob {
-                index,
-                shards,
-                seed,
-                chunk: 7,
-                window: usize::MAX,
-            };
-            write_frame(&mut script, KIND_JOB, &encode_payload(&job).unwrap()).unwrap();
-
-            let mut input: &[u8] = &script;
-            let mut wire = Vec::new();
-            run_worker::<TinySpec, _, _>(&mut input, &mut wire).expect("worker runs");
-
-            let mut stream: &[u8] = &wire;
-            loop {
-                let frame = read_frame(&mut stream, DEFAULT_MAX_PAYLOAD)
-                    .expect("valid frame")
-                    .expect("stream ends with FINAL");
-                match frame.kind {
-                    KIND_LOG_CHUNK => {
-                        let log: Vec<VisitRecord> = decode_payload(&frame.payload, "log").unwrap();
-                        let partial = WorldOutcome {
-                            log,
-                            report: BatchReport::default(),
-                            rollups: crate::analytics::RollupSeries::default(),
-                            policy_changes_applied: 0,
-                            control_signals_applied: 0,
-                            streaming: None,
-                        };
-                        outcome_acc = Some(match outcome_acc.take() {
-                            Some(acc) => acc.merge(partial),
-                            None => partial,
-                        });
-                    }
-                    KIND_RECORD_CHUNK => {
-                        let records: Vec<StoredMeasurement> =
-                            decode_payload(&frame.payload, "records").unwrap();
-                        collection_acc = collection_acc.merge(&CollectionSnapshot {
-                            records,
-                            malformed: 0,
-                            streaming: None,
-                        });
-                    }
-                    KIND_FINAL => {
-                        let fin: FinalPayload = decode_payload(&frame.payload, "final").unwrap();
-                        per_shard.push(fin.report);
-                        let partial = WorldOutcome {
-                            log: Vec::new(),
-                            report: fin.report,
-                            rollups: crate::analytics::RollupSeries(fin.rollups),
-                            policy_changes_applied: fin.policy_changes_applied,
-                            control_signals_applied: fin.control_signals_applied,
-                            streaming: fin.streaming,
-                        };
-                        outcome_acc = Some(match outcome_acc.take() {
-                            Some(acc) => acc.merge(partial),
-                            None => partial,
-                        });
-                        collection_acc = collection_acc.merge(&CollectionSnapshot {
-                            records: Vec::new(),
-                            malformed: fin.malformed,
-                            streaming: None,
-                        });
-                        break;
-                    }
-                    other => panic!("unexpected frame kind {other}"),
-                }
-            }
-            assert_eq!(
-                read_frame(&mut stream, DEFAULT_MAX_PAYLOAD).unwrap(),
-                None,
+    /// Fold every worker's wire bytes through the coordinator's own
+    /// `read_shard` and `ShardFold`, insisting each stream ends at FINAL.
+    fn fold_wires(wires: &[Vec<u8>]) -> (ShardedWorldRun, TransportStats) {
+        let mut stats = TransportStats::new(wires.len());
+        let mut fold = ShardFold::new(wires.len());
+        for (shard, wire) in wires.iter().enumerate() {
+            let mut frames: &[u8] = wire;
+            let mut acks = Vec::new();
+            fold.push(read_shard(&mut frames, &mut acks, shard, &mut stats).expect("clean stream"));
+            assert!(
+                frames.is_empty(),
                 "worker must close its stream after FINAL"
             );
         }
+        stats.peak_resident_outcomes = fold.peak_resident_outcomes();
+        (fold.finish(), stats)
+    }
 
-        assert_eq!(outcome_acc.expect("two shards folded"), expected.outcome);
-        assert_eq!(collection_acc, expected.collection);
-        assert_eq!(per_shard, expected.per_shard);
+    /// The kinds of every frame on one worker's wire, in order.
+    fn frame_kinds(wire: &[u8]) -> Vec<u8> {
+        let mut stream = wire;
+        std::iter::from_fn(|| read_frame(&mut stream, DEFAULT_MAX_PAYLOAD).unwrap())
+            .map(|frame| frame.kind)
+            .collect()
+    }
+
+    /// Drive the worker protocol entirely in-process and fold its wire
+    /// bytes through the real coordinator path. Three shards over 250
+    /// visits divide unevenly, and 7-record chunks make every stream
+    /// multi-chunk; the result must still be the thread run, exactly.
+    #[test]
+    fn in_process_worker_stream_folds_to_thread_result() {
+        let spec = TinySpec::exact(250);
+        let (shards, seed) = (3usize, 97u64);
+        let expected = run_on_threads(&spec, shards, seed);
+
+        let wires: Vec<Vec<u8>> = (0..shards)
+            .map(|index| worker_wire(&spec, index, shards, seed))
+            .collect();
+        for wire in &wires {
+            let kinds = frame_kinds(wire);
+            let records = kinds.iter().filter(|&&k| k == KIND_RECORD_CHUNK).count();
+            assert!(records > 1, "multi-chunk records: {kinds:?}");
+        }
+        let (folded, stats) = fold_wires(&wires);
+
+        assert_eq!(folded.outcome, expected.outcome);
+        assert_eq!(folded.collection, expected.collection);
+        assert_eq!(folded.per_shard, expected.per_shard);
+        assert_eq!(stats.peak_resident_outcomes, 2);
+        let data_frames: usize = wires.iter().map(|w| frame_kinds(w).len() - 1).sum();
+        assert_eq!(stats.data_frames, data_frames as u64);
     }
 
     /// Streaming vs exact over the *same* 2-shard traffic (same seed,
@@ -1099,19 +997,15 @@ mod tests {
     #[test]
     fn sharded_streaming_verdicts_match_sharded_exact() {
         let window = sim_core::SimDuration::from_secs(60);
-        let exact = ThreadTransport
-            .run(&TinySpec::exact(400), 2, 77)
-            .expect("exact run");
-        let streamed = ThreadTransport
-            .run(
-                &TinySpec {
-                    visits: 400,
-                    streaming: true,
-                },
-                2,
-                77,
-            )
-            .expect("streaming run");
+        let exact = run_on_threads(&TinySpec::exact(400), 2, 77);
+        let streamed = run_on_threads(
+            &TinySpec {
+                visits: 400,
+                streaming: true,
+            },
+            2,
+            77,
+        );
 
         // Enabling streaming never perturbs the traffic.
         assert_eq!(exact.outcome.report, streamed.outcome.report);
@@ -1145,74 +1039,97 @@ mod tests {
             streaming: true,
         };
         let (shards, seed) = (2usize, 97u64);
-        let expected = ThreadTransport.run(&spec, shards, seed).expect("threads");
+        let expected = run_on_threads(&spec, shards, seed);
 
-        let mut outcome_acc: Option<WorldOutcome> = None;
-        let mut collection_acc = CollectionSnapshot::default();
-        for index in 0..shards {
-            let mut script = Vec::new();
-            write_frame(&mut script, KIND_SPEC, &encode_payload(&spec).unwrap()).unwrap();
-            let job = WorkerJob {
-                index,
-                shards,
-                seed,
-                chunk: 7,
-                window: usize::MAX,
-            };
-            write_frame(&mut script, KIND_JOB, &encode_payload(&job).unwrap()).unwrap();
-            let mut input: &[u8] = &script;
-            let mut wire = Vec::new();
-            run_worker::<TinySpec, _, _>(&mut input, &mut wire).expect("worker runs");
-
-            let (mut sketches, mut record_chunks) = (0, 0);
-            let mut stream: &[u8] = &wire;
-            loop {
-                let frame = read_frame(&mut stream, DEFAULT_MAX_PAYLOAD)
-                    .expect("valid frame")
-                    .expect("stream ends with FINAL");
-                match frame.kind {
-                    KIND_RECORD_CHUNK => record_chunks += 1,
-                    KIND_SKETCH => {
-                        sketches += 1;
-                        let stats: encore::streaming::StreamingStats =
-                            decode_payload(&frame.payload, "sketch").unwrap();
-                        collection_acc = collection_acc.merge_owned(CollectionSnapshot {
-                            records: Vec::new(),
-                            malformed: 0,
-                            streaming: Some(stats),
-                        });
-                    }
-                    KIND_FINAL => {
-                        let fin: FinalPayload = decode_payload(&frame.payload, "final").unwrap();
-                        let partial = WorldOutcome {
-                            log: Vec::new(),
-                            report: fin.report,
-                            rollups: crate::analytics::RollupSeries(fin.rollups),
-                            policy_changes_applied: fin.policy_changes_applied,
-                            control_signals_applied: fin.control_signals_applied,
-                            streaming: fin.streaming,
-                        };
-                        outcome_acc = Some(match outcome_acc.take() {
-                            Some(acc) => acc.merge(partial),
-                            None => partial,
-                        });
-                        collection_acc = collection_acc.merge_owned(CollectionSnapshot {
-                            records: Vec::new(),
-                            malformed: fin.malformed,
-                            streaming: None,
-                        });
-                        break;
-                    }
-                    KIND_LOG_CHUNK => {} // batch mode: none expected, tolerated
-                    other => panic!("unexpected frame kind {other}"),
-                }
-            }
-            assert_eq!(record_chunks, 0, "no record chunks in streaming mode");
-            assert_eq!(sketches, 1, "exactly one bounded sketch frame");
+        let wires: Vec<Vec<u8>> = (0..shards)
+            .map(|index| worker_wire(&spec, index, shards, seed))
+            .collect();
+        for wire in &wires {
+            let kinds = frame_kinds(wire);
+            let count = |kind| kinds.iter().filter(|&&k| k == kind).count();
+            assert_eq!(
+                count(KIND_RECORD_CHUNK),
+                0,
+                "no record chunks in streaming mode"
+            );
+            assert_eq!(count(KIND_SKETCH), 1, "exactly one bounded sketch frame");
         }
+        let (folded, _) = fold_wires(&wires);
 
-        assert_eq!(outcome_acc.expect("folded"), expected.outcome);
-        assert_eq!(collection_acc, expected.collection);
+        assert_eq!(folded.outcome, expected.outcome);
+        assert_eq!(folded.collection, expected.collection);
+    }
+
+    /// One data frame's worth of wire: an empty log chunk.
+    fn empty_log_chunk() -> Vec<u8> {
+        let empty: Vec<VisitRecord> = Vec::new();
+        encode_frame(KIND_LOG_CHUNK, &encode_payload(&empty).unwrap())
+    }
+
+    /// `read_shard` over in-memory bytes, as shard 1.
+    fn read_bytes(wire: &[u8]) -> (Result<ShardOutput, TransportError>, Vec<u8>) {
+        let mut frames = wire;
+        let mut acks = Vec::new();
+        let result = read_shard(&mut frames, &mut acks, 1, &mut TransportStats::new(2));
+        (result, acks)
+    }
+
+    #[test]
+    fn error_frame_mid_stream_is_a_worker_error() {
+        let mut wire = empty_log_chunk();
+        write_frame(&mut wire, KIND_ERROR, b"disk full").unwrap();
+        let (result, acks) = read_bytes(&wire);
+        match result {
+            Err(TransportError::Worker { shard: 1, detail }) => assert_eq!(detail, "disk full"),
+            other => panic!("expected Worker error, got {other:?}"),
+        }
+        // The data frame before the failure was acknowledged.
+        assert_eq!(acks, encode_frame(KIND_ACK, &[]));
+    }
+
+    #[test]
+    fn worker_sent_spec_frame_is_a_protocol_error() {
+        let mut wire = empty_log_chunk();
+        write_frame(&mut wire, KIND_SPEC, &[]).unwrap();
+        let (result, _) = read_bytes(&wire);
+        assert!(
+            matches!(result, Err(TransportError::Protocol(ref detail)) if detail.contains("kind 1")),
+            "{result:?}"
+        );
+    }
+
+    #[test]
+    fn eof_before_final_is_a_worker_exit() {
+        let (result, _) = read_bytes(&empty_log_chunk());
+        assert!(
+            matches!(result, Err(TransportError::WorkerExit { shard: 1, .. })),
+            "{result:?}"
+        );
+        let (result, acks) = read_bytes(&[]);
+        assert!(
+            matches!(result, Err(TransportError::WorkerExit { shard: 1, .. })),
+            "{result:?}"
+        );
+        assert!(acks.is_empty(), "nothing to acknowledge");
+    }
+
+    #[test]
+    fn corrupted_crc_is_a_frame_error() {
+        let mut wire = empty_log_chunk();
+        let last = wire.len() - 1;
+        wire[last] ^= 0x40;
+        let (result, acks) = read_bytes(&wire);
+        assert!(
+            matches!(
+                result,
+                Err(TransportError::Frame {
+                    error: FrameError::Corrupt { .. },
+                    ..
+                })
+            ),
+            "{result:?}"
+        );
+        assert!(acks.is_empty(), "a corrupt frame is never acknowledged");
     }
 
     #[test]

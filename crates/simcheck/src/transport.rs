@@ -23,7 +23,7 @@ use crate::oracle::byte_image;
 use encore::system::EncoreSystem;
 use netsim::geo::World;
 use netsim::network::Network;
-use population::transport::{ProcessTransport, ShardTransport, ThreadTransport, WorldSpec};
+use population::transport::{run_on_threads, ProcessTransport, WorldSpec};
 use population::{Audience, ShardContext, WorldRecipe};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -70,8 +70,8 @@ impl WorldSpec for CaseSpec {
 /// shard and an uneven multi-shard split.
 const TRANSPORT_SHARDS: [usize; 2] = [1, 3];
 
-/// Check one generated world across both transport backends: for each
-/// shard count in [`TRANSPORT_SHARDS`], the process transport must
+/// Check one generated world across both transport backends: at 1 and
+/// 3 shards (`TRANSPORT_SHARDS`), the process transport must
 /// reproduce the thread transport byte-for-byte (structural outcome,
 /// collection, per-shard reports, and all three serialized byte-images).
 ///
@@ -93,17 +93,7 @@ pub fn check_transport(case: &WorldCase, worker: &Path) -> Vec<crate::oracle::Vi
         });
     };
     for shards in TRANSPORT_SHARDS {
-        let threads = ThreadTransport.run(&spec, shards, case.seed);
-        let threads = match threads {
-            Ok(run) => run,
-            Err(err) => {
-                fail(
-                    "transport-run",
-                    format!("thread transport failed at {shards} shard(s): {err}"),
-                );
-                continue;
-            }
-        };
+        let threads = run_on_threads(&spec, shards, case.seed);
         let process =
             match ProcessTransport::new(worker.to_path_buf()).run(&spec, shards, case.seed) {
                 Ok(run) => run,
@@ -181,7 +171,7 @@ mod tests {
             class: case.class,
             seed: case.seed,
         };
-        let via_spec = ThreadTransport.run(&spec, 2, case.seed).unwrap();
+        let via_spec = run_on_threads(&spec, 2, case.seed);
         let direct = population::run_sharded_world(
             &|ctx| case.build(ctx),
             &Audience::world(&World::builtin()),

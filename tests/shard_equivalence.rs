@@ -27,7 +27,7 @@ use encore_repro::censor::registry::ground_truth;
 use encore_repro::encore::FilteringDetector;
 use encore_repro::netsim::geo::World;
 use encore_repro::population::shard::ShardContext;
-use encore_repro::population::{run_sharded_batch, run_visit_batch, Audience, ShardedBatchConfig};
+use encore_repro::population::{run_sharded_world, run_visit_batch, Audience, WorldRecipe};
 use encore_repro::sim_core::SimRng;
 
 fn world_audience() -> Audience {
@@ -36,11 +36,8 @@ fn world_audience() -> Audience {
 
 /// Sorted `domain:country` verdict keys from a sharded run.
 fn verdicts(shards: usize, seed: u64, visits: u64) -> Vec<String> {
-    let config = ShardedBatchConfig {
-        shards,
-        batch: batch(visits),
-    };
-    let run = run_sharded_batch(&build_censored, &world_audience(), &config, seed);
+    let recipe = WorldRecipe::batch(batch(visits));
+    let run = run_sharded_world(&build_censored, &world_audience(), &recipe, shards, seed);
     verdict_keys(&run.collection.records, &run.geo)
 }
 
@@ -60,18 +57,16 @@ fn one_shard_locksteps_the_serial_batch_driver() {
     let serial_snapshot = sys.collection.snapshot();
 
     // Sharded at N = 1.
-    let sharded = run_sharded_batch(
+    let sharded = run_sharded_world(
         &build_censored,
         &audience,
-        &ShardedBatchConfig {
-            shards: 1,
-            batch: config,
-        },
+        &WorldRecipe::batch(config),
+        1,
         seed,
     );
 
     assert_eq!(
-        sharded.report, serial_report,
+        sharded.outcome.report, serial_report,
         "1-shard report must be bit-identical to the serial driver"
     );
     assert_eq!(
@@ -80,7 +75,7 @@ fn one_shard_locksteps_the_serial_batch_driver() {
     );
     // And the serialized artifacts agree byte for byte.
     assert_eq!(
-        serde_json::to_string(&sharded.report).unwrap(),
+        serde_json::to_string(&sharded.outcome.report).unwrap(),
         serde_json::to_string(&serial_report).unwrap()
     );
 }
@@ -108,12 +103,9 @@ fn verdicts_identical_across_shard_counts() {
 #[test]
 fn uncensored_world_yields_no_verdicts_at_any_shard_count() {
     let audience = world_audience();
+    let recipe = WorldRecipe::batch(batch(2_000));
     for shards in [1usize, 2, 8] {
-        let config = ShardedBatchConfig {
-            shards,
-            batch: batch(2_000),
-        };
-        let run = run_sharded_batch(&build_uncensored, &audience, &config, 0xC1EA);
+        let run = run_sharded_world(&build_uncensored, &audience, &recipe, shards, 0xC1EA);
         let detections = FilteringDetector::default().detect(&run.collection.records, &run.geo);
         assert!(
             detections.is_empty(),
@@ -125,17 +117,15 @@ fn uncensored_world_yields_no_verdicts_at_any_shard_count() {
 #[test]
 fn fixed_seed_and_shard_count_reproduces_run_to_run() {
     let go = || {
-        let run = run_sharded_batch(
+        let run = run_sharded_world(
             &build_censored,
             &world_audience(),
-            &ShardedBatchConfig {
-                shards: 4,
-                batch: batch(1_500),
-            },
+            &WorldRecipe::batch(batch(1_500)),
+            4,
             0xBEEF,
         );
         (
-            serde_json::to_string(&run.report).unwrap(),
+            serde_json::to_string(&run.outcome.report).unwrap(),
             serde_json::to_string(&run.collection).unwrap(),
         )
     };
@@ -151,25 +141,24 @@ fn different_seeds_diverge_in_detail_but_not_in_verdict() {
     let b = verdicts(2, 2, 4_000);
     assert_eq!(a, b, "the science must be seed-invariant");
 
-    let run_a = run_sharded_batch(
+    let run_a = run_sharded_world(
         &build_censored,
         &world_audience(),
-        &ShardedBatchConfig {
-            shards: 2,
-            batch: batch(1_000),
-        },
+        &WorldRecipe::batch(batch(1_000)),
+        2,
         1,
     );
-    let run_b = run_sharded_batch(
+    let run_b = run_sharded_world(
         &build_censored,
         &world_audience(),
-        &ShardedBatchConfig {
-            shards: 2,
-            batch: batch(1_000),
-        },
+        &WorldRecipe::batch(batch(1_000)),
+        2,
         2,
     );
-    assert_ne!(run_a.report, run_b.report, "seeds should differ in detail");
+    assert_ne!(
+        run_a.outcome.report, run_b.outcome.report,
+        "seeds should differ in detail"
+    );
 }
 
 /// Golden snapshot: the merged-report JSON for a fixed scenario is pinned
@@ -178,16 +167,14 @@ fn different_seeds_diverge_in_detail_but_not_in_verdict() {
 /// loud diff instead of a silent drift.
 #[test]
 fn merged_report_json_matches_golden_snapshot() {
-    let run = run_sharded_batch(
+    let run = run_sharded_world(
         &build_censored,
         &world_audience(),
-        &ShardedBatchConfig {
-            shards: 2,
-            batch: batch(1_000),
-        },
+        &WorldRecipe::batch(batch(1_000)),
+        2,
         0x901D,
     );
-    let json = serde_json::to_string(&run.report).unwrap();
+    let json = serde_json::to_string(&run.outcome.report).unwrap();
     let golden = include_str!("golden/merged_report.json").trim();
     assert_eq!(
         json, golden,
